@@ -1,8 +1,10 @@
 package hw
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sync"
 )
 
@@ -15,30 +17,47 @@ type DMAAddr uint32
 // kernel's DMA mapping interface) and device models (which read descriptor
 // rings and packet buffers directly, as bus-mastering hardware would).
 type DMAMemory struct {
-	mu   sync.Mutex
-	mem  []byte
-	next DMAAddr
+	mu  sync.Mutex
+	mem []byte
+	// free lists the unallocated extents in address order, adjacent extents
+	// always coalesced; Alloc carves the first that fits.
+	free []dmaExtent
+	// dirty is the end of the highest block ever allocated: the bytes above
+	// it were never handed out and are still zero.
+	dirty int
 	// allocations maps base address to length, for double-free/bounds checks.
 	allocations map[DMAAddr]int
 }
+
+// dmaExtent is the free byte range [start, end) of the arena.
+type dmaExtent struct{ start, end int }
 
 // NewDMAMemory creates an arena of the given size in bytes.
 func NewDMAMemory(size int) *DMAMemory {
 	if size <= 0 {
 		panic("hw: DMA arena size must be positive")
 	}
-	return &DMAMemory{
+	d := &DMAMemory{
 		mem:         make([]byte, size),
-		next:        64, // keep address 0 (and a small guard region) unused
 		allocations: make(map[DMAAddr]int),
 	}
+	// Keep address 0 (and a small guard region) unused.
+	if size > dmaGuard {
+		d.free = []dmaExtent{{dmaGuard, size}}
+	}
+	return d
 }
+
+// dmaGuard is the low region Alloc never hands out, so bus address 0 stays
+// a null address.
+const dmaGuard = 64
 
 // Size reports the arena size in bytes.
 func (d *DMAMemory) Size() int { return len(d.mem) }
 
-// Alloc reserves size bytes, aligned to align (which must be a power of two;
-// 0 means 64). It returns the bus address of the allocation.
+// Alloc reserves size zeroed bytes, aligned to align (which must be a power
+// of two; 0 means 64), in the lowest free block they fit. It returns the bus
+// address of the allocation.
 func (d *DMAMemory) Alloc(size, align int) (DMAAddr, error) {
 	if size <= 0 {
 		return 0, fmt.Errorf("hw: DMA alloc of %d bytes", size)
@@ -51,25 +70,59 @@ func (d *DMAMemory) Alloc(size, align int) (DMAAddr, error) {
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	base := (int(d.next) + align - 1) &^ (align - 1)
-	if base+size > len(d.mem) {
-		return 0, fmt.Errorf("hw: DMA arena exhausted (%d bytes requested, %d free)", size, len(d.mem)-base)
+	largest := 0
+	for i, ext := range d.free {
+		base := (ext.start + align - 1) &^ (align - 1)
+		if base+size > ext.end {
+			largest = max(largest, ext.end-base)
+			continue
+		}
+		// Carve [base, base+size) out of the extent: the alignment gap in
+		// front and the tail behind stay free.
+		var rest []dmaExtent
+		if ext.start < base {
+			rest = append(rest, dmaExtent{ext.start, base})
+		}
+		if base+size < ext.end {
+			rest = append(rest, dmaExtent{base + size, ext.end})
+		}
+		d.free = slices.Replace(d.free, i, i+1, rest...)
+		// A block comes back zeroed, as a fresh one always did: recycled
+		// space must not leak a freed ring's stale descriptors.
+		if base < d.dirty {
+			clear(d.mem[base:min(base+size, d.dirty)])
+		}
+		d.dirty = max(d.dirty, base+size)
+		addr := DMAAddr(base)
+		d.allocations[addr] = size
+		return addr, nil
 	}
-	addr := DMAAddr(base)
-	d.next = DMAAddr(base + size)
-	d.allocations[addr] = size
-	return addr, nil
+	return 0, fmt.Errorf("hw: DMA arena exhausted (%d bytes requested, largest free block %d)", size, largest)
 }
 
-// Free releases an allocation made by Alloc. The arena is a bump allocator,
-// so Free only validates and unregisters the block; space is not recycled.
+// Free releases an allocation made by Alloc, returning its bytes to the
+// free list (merged with any free neighbours) for later allocations.
 func (d *DMAMemory) Free(addr DMAAddr) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if _, ok := d.allocations[addr]; !ok {
+	size, ok := d.allocations[addr]
+	if !ok {
 		return fmt.Errorf("hw: DMA free of unallocated address %#x", uint32(addr))
 	}
 	delete(d.allocations, addr)
+	start, end := int(addr), int(addr)+size
+	i, _ := slices.BinarySearchFunc(d.free, start, func(e dmaExtent, s int) int { return cmp.Compare(e.start, s) })
+	// Coalesce with the extent ending at start and the one starting at end.
+	lo, hi := i, i
+	if i > 0 && d.free[i-1].end == start {
+		lo = i - 1
+		start = d.free[lo].start
+	}
+	if i < len(d.free) && d.free[i].start == end {
+		end = d.free[i].end
+		hi = i + 1
+	}
+	d.free = slices.Replace(d.free, lo, hi, dmaExtent{start, end})
 	return nil
 }
 

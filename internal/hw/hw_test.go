@@ -65,6 +65,88 @@ func TestDMAFreeTracking(t *testing.T) {
 	}
 }
 
+// TestDMAFreeRecyclesSpace: freed blocks return to the arena. A driver
+// that allocates and frees its rings on every ifup (a recovery replays one
+// per restart) must be able to do so indefinitely.
+func TestDMAFreeRecyclesSpace(t *testing.T) {
+	const mib = 1 << 20
+	d := NewDMAMemory(16 * mib)
+	keep, err := d.Alloc(3*mib, 0) // a long-lived block the cycles work around
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 100; i++ {
+		a, err := d.Alloc(mib, 4096)
+		if err != nil {
+			t.Fatalf("cycle %d: %v", i, err)
+		}
+		b, err := d.Alloc(mib, 0)
+		if err != nil {
+			t.Fatalf("cycle %d: %v", i, err)
+		}
+		if n := d.InUse(); n != 3 {
+			t.Fatalf("cycle %d: InUse = %d, want 3", i, n)
+		}
+		if err := d.Free(a); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Free(b); err != nil {
+			t.Fatal(err)
+		}
+		if n := d.InUse(); n != 1 {
+			t.Fatalf("cycle %d: InUse = %d after freeing, want 1", i, n)
+		}
+	}
+	if err := d.Free(keep); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Free(keep); err == nil {
+		t.Fatal("double Free succeeded")
+	}
+	if d.InUse() != 0 {
+		t.Fatalf("InUse = %d, want 0", d.InUse())
+	}
+	// Every freed block coalesced back: the whole arena past the guard is
+	// one block again.
+	if _, err := d.Alloc(16*mib-64, 0); err != nil {
+		t.Fatalf("arena did not coalesce: %v", err)
+	}
+}
+
+// TestDMAFirstFitCoalesces: Alloc reuses the lowest hole that fits, zeroed,
+// and a block freed between two free neighbours merges with both.
+func TestDMAFirstFitCoalesces(t *testing.T) {
+	d := NewDMAMemory(1 << 12)
+	var blocks [4]DMAAddr
+	for i := range blocks {
+		a, err := d.Alloc(256, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		blocks[i] = a
+	}
+	d.Write8(blocks[1], 0xAA)
+	for _, i := range []int{0, 2, 1} {
+		if err := d.Free(blocks[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Blocks 0-2 merged into one 768-byte hole at the bottom of the arena.
+	a, err := d.Alloc(768, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a != blocks[0] {
+		t.Fatalf("Alloc(768) = %#x, want the coalesced hole at %#x", uint32(a), uint32(blocks[0]))
+	}
+	if v := d.Read8(blocks[1]); v != 0 {
+		t.Fatalf("recycled space reads %#x, want it zeroed", v)
+	}
+	if _, err := d.Alloc(1<<12, 0); err == nil {
+		t.Fatal("oversized Alloc succeeded")
+	}
+}
+
 func TestDMAReadWriteRoundTrip(t *testing.T) {
 	d := NewDMAMemory(1 << 12)
 	a, _ := d.Alloc(64, 0)

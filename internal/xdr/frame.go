@@ -20,9 +20,11 @@ const (
 	// themselves (copy fallback).
 	FrameSubmit FrameKind = 1 + iota
 	// FrameComplete acknowledges one frame by ID: Status is zero on
-	// success, and Aux carries the worker's FNV-64a checksum of the payload
-	// it observed — the kernel side compares it against its own view, which
-	// only matches if the two address spaces really share the bytes.
+	// success, and Aux carries the worker's XXH64 (seed 0) checksum of the
+	// payload it observed — the kernel side compares it against its own
+	// view, which only matches if the two address spaces really share the
+	// bytes. XXH64 hashes a 64-bit word at a time, so both processes can
+	// afford it on every frame.
 	FrameComplete
 	// FrameRingRegister publishes a payload ring's geometry to the worker:
 	// Aux packs slots<<32 | slotSize. The ring's buffers are the shared

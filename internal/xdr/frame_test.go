@@ -32,7 +32,7 @@ func everyFrameKind() []Frame {
 		{Kind: FrameDown, ID: 11, Name: "e1000_read_status", Aux: 0x83},
 		{Kind: FrameDownResult, ID: 11, Aux: 0x80080783},
 		{Kind: FrameDownResult, ID: 12, Status: 1, Name: "unknown downcall"},
-		{Kind: FrameStateMap, ID: 13, Aux: 1 << 20 << 32 | 512},
+		{Kind: FrameStateMap, ID: 13, Aux: 1<<20<<32 | 512},
 	}
 }
 

@@ -2,6 +2,7 @@ package xpc
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -222,7 +223,9 @@ func (t *AsyncTransport) enqueue(ctx *kernel.Context, subs []*Submission) error 
 			}
 			t.pending += len(subs)
 			t.r.noteEnqueued(len(subs))
-			t.ring <- subs
+			// The caller may reuse subs once Submit returns: the ring
+			// holds its own copy.
+			t.ring <- slices.Clone(subs)
 			t.mu.Unlock()
 			return nil
 		}
@@ -335,10 +338,12 @@ func (t *AsyncTransport) cross(chunk []*Submission, start time.Duration) {
 	for _, sub := range chunk {
 		sub.Completion.queueWait = start - sub.Completion.submitClock
 	}
+	// The last completion resolves at start plus the crossing's cost, the
+	// timeline's new free instant. It is measured on the service context,
+	// not read back: a resolved submission may already be recycled.
+	before := t.ctx.Elapsed()
 	t.r.crossSubmissions(t.ctx, chunk, crossOptions{start: start})
-	// The chunk's completions are resolved; the last one carries the
-	// timeline's new free instant.
-	t.svcFreeAt.Store(int64(chunk[len(chunk)-1].Completion.completeAt))
+	t.svcFreeAt.Store(int64(start + t.ctx.Elapsed() - before))
 	t.finish(len(chunk))
 }
 

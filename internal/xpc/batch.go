@@ -27,25 +27,29 @@ import (
 // In ModeNative each call runs immediately in the caller's context, exactly
 // as Upcall/Downcall do.
 type Batch struct {
-	r     *Runtime
-	ctx   *kernel.Context
-	calls []*Call
-	// outstanding are the completions of calls already submitted by
-	// auto-flushes, awaited by Flush or aggregated by FlushAsync.
-	outstanding []*Completion
-	err         error
+	r   *Runtime
+	ctx *kernel.Context
+	err error
+	// st holds the queued and outstanding calls. It is borrowed from the
+	// runtime on the first add and handed back once Flush or FlushAsync
+	// leaves the batch empty, so a driver that builds a Batch per flush
+	// reuses the same buffers flush after flush.
+	st *batchState
+}
 
-	// Call recycling: a driver pumping packets through one long-lived Batch
-	// must not allocate a Call per packet. newCall pops from callPool;
-	// submitted calls park on retired until Flush has waited their
-	// completions out (a transport may reference a Call until its
-	// completion resolves — the async service goroutine executes bodies
-	// after Submit returns), then return to callPool. FlushAsync hands its
-	// completions to the caller, so its retired calls are dropped rather
-	// than recycled. The Submission slice handed to Transport.Submit is NOT
-	// recycled: an async transport enqueues the slice itself on its ring.
-	callPool []*Call
-	retired  []*Call
+// batchState is a Batch's borrowed working set. Each call is a callRecord
+// from the runtime's free list: the batch recycles it once its completion
+// has been waited out (Flush) or read by the aggregate's fan-in
+// (FlushAsync).
+type batchState struct {
+	// queued are added and not yet submitted.
+	queued []*callRecord
+	// outstanding were submitted by auto-flushes or the final flush and
+	// await Flush or FlushAsync.
+	outstanding []*callRecord
+	// subs is the list handed to Transport.Submit, reused because Submit
+	// does not retain it.
+	subs []*Submission
 }
 
 // Batch starts a crossing batch bound to the calling context.
@@ -53,46 +57,74 @@ func (r *Runtime) Batch(ctx *kernel.Context) *Batch {
 	return &Batch{r: r, ctx: ctx}
 }
 
-// newCall returns a recycled (or fresh) Call populated with the given
-// fields; every other field is zeroed.
-func (b *Batch) newCall(name string, up bool, fn func(ctx *kernel.Context) error, objs []any, data []byte, slot xdr.SlotDescriptor) *Call {
-	var c *Call
-	if n := len(b.callPool); n > 0 {
-		c = b.callPool[n-1]
-		b.callPool[n-1] = nil
-		b.callPool = b.callPool[:n-1]
-	} else {
-		c = new(Call)
+// maxFreeStates bounds a runtime's free list of Batch working sets, one per
+// batch a driver keeps open at once.
+const maxFreeStates = 64
+
+// state returns the batch's working set, borrowing one on first use.
+func (b *Batch) state() *batchState {
+	if b.st == nil {
+		b.r.freeMu.Lock()
+		b.st = popFree(&b.r.freeStates)
+		b.r.freeMu.Unlock()
+		if b.st == nil {
+			b.st = new(batchState)
+		}
 	}
-	*c = Call{Name: name, Up: up, Fn: fn, Objs: objs, Data: data, Slot: slot}
-	return c
+	return b.st
 }
 
-func (b *Batch) add(c *Call) *Batch {
+// release hands the working set back to the runtime. Its lists must be
+// empty: every record recycled or owned by a fan-in.
+func (b *Batch) release() {
+	st := b.st
+	if st == nil {
+		return
+	}
+	b.st = nil
+	r := b.r
+	r.freeMu.Lock()
+	if len(r.freeStates) < maxFreeStates {
+		r.freeStates = append(r.freeStates, st)
+	}
+	r.freeMu.Unlock()
+}
+
+// newCall returns a record from the runtime's free list whose Call carries
+// the given fields; every other field is zeroed.
+func (b *Batch) newCall(name string, up bool, fn func(ctx *kernel.Context) error, objs []any, data []byte, slot xdr.SlotDescriptor) *callRecord {
+	rec := b.r.takeRecord()
+	rec.call = Call{Name: name, Up: up, Fn: fn, Objs: objs, Data: data, Slot: slot}
+	return rec
+}
+
+func (b *Batch) add(rec *callRecord) *Batch {
 	if b.err != nil {
-		b.recycle(c)
+		b.r.recycleRecords(rec)
 		return b
 	}
+	c := &rec.call
 	if b.r.Mode == ModeNative {
 		if c.h != nil {
 			b.err = b.r.runHandlerNative(b.ctx, c)
 		} else {
 			b.err = c.Fn(b.ctx)
 		}
-		b.recycle(c)
+		b.r.recycleRecords(rec)
 		return b
 	}
+	st := b.state()
 	// A crossing travels one direction: a direction change flushes the
 	// queued calls first, so every batch is all-upcall or all-downcall.
-	if len(b.calls) > 0 && b.calls[0].Up != c.Up {
+	if len(st.queued) > 0 && st.queued[0].call.Up != c.Up {
 		if err := b.submit(); err != nil {
 			b.err = err
-			b.recycle(c)
+			b.r.recycleRecords(rec)
 			return b
 		}
 	}
-	b.calls = append(b.calls, c)
-	if len(b.calls) >= b.r.Transport().MaxBatch() {
+	st.queued = append(st.queued, rec)
+	if len(st.queued) >= b.r.Transport().MaxBatch() {
 		b.err = b.submit()
 	}
 	return b
@@ -162,9 +194,9 @@ func (b *Batch) addHandler(name string, objs []any, data []byte, slot xdr.SlotDe
 		}
 		return b
 	}
-	c := b.newCall(name, true, nil, objs, data, slot)
-	c.h = h
-	return b.add(c)
+	rec := b.newCall(name, true, nil, objs, data, slot)
+	rec.call.h = h
+	return b.add(rec)
 }
 
 // Downcall queues a user→kernel call.
@@ -185,44 +217,42 @@ func (b *Batch) DowncallPayload(name string, p Payload, fn func(kctx *kernel.Con
 }
 
 // Len reports the calls queued and not yet submitted.
-func (b *Batch) Len() int { return len(b.calls) }
+func (b *Batch) Len() int {
+	if b.st == nil {
+		return 0
+	}
+	return len(b.st.queued)
+}
 
 // Outstanding reports the calls submitted but not yet waited for.
-func (b *Batch) Outstanding() int { return len(b.outstanding) }
+func (b *Batch) Outstanding() int {
+	if b.st == nil {
+		return 0
+	}
+	return len(b.st.outstanding)
+}
 
 // Err reports the sticky error, if any, without flushing.
 func (b *Batch) Err() error { return b.err }
 
-// recycle drops a Call back into the pool, clearing its references so the
-// pool does not pin payloads or closures.
-func (b *Batch) recycle(c *Call) {
-	*c = Call{}
-	b.callPool = append(b.callPool, c)
-}
-
-// submit hands the queued calls to the transport, retaining their
-// completions, and returns the first synchronously-known error. The
-// submitted calls move to retired; Flush recycles them once their
-// completions have resolved.
+// submit hands the queued calls to the transport, keeping them outstanding,
+// and returns the first synchronously-known error.
 func (b *Batch) submit() error {
-	if len(b.calls) == 0 {
+	st := b.st
+	if st == nil || len(st.queued) == 0 {
 		return nil
 	}
-	subs := make([]*Submission, len(b.calls))
-	for i, c := range b.calls {
-		subs[i] = b.r.NewSubmission(c)
-		b.outstanding = append(b.outstanding, subs[i].Completion)
+	subs := st.subs[:0]
+	for _, rec := range st.queued {
+		subs = append(subs, &rec.sub)
 	}
-	b.retired = append(b.retired, b.calls...)
-	clearCalls(b.calls)
-	b.calls = b.calls[:0]
-	return b.r.Transport().Submit(b.r, b.ctx, subs)
-}
-
-func clearCalls(cs []*Call) {
-	for i := range cs {
-		cs[i] = nil
-	}
+	st.outstanding = append(st.outstanding, st.queued...)
+	clear(st.queued)
+	st.queued = st.queued[:0]
+	err := b.r.Transport().Submit(b.r, b.ctx, subs)
+	clear(subs)
+	st.subs = subs[:0]
+	return err
 }
 
 // Flush submits every queued call, waits for every submitted call to
@@ -235,22 +265,17 @@ func (b *Batch) Flush() error {
 	if ferr := b.submit(); b.err == nil {
 		b.err = ferr
 	}
-	for _, c := range b.outstanding {
-		if werr := c.Wait(b.ctx); werr != nil && b.err == nil {
-			b.err = werr
+	if st := b.st; st != nil {
+		for _, rec := range st.outstanding {
+			if werr := rec.comp.Wait(b.ctx); werr != nil && b.err == nil {
+				b.err = werr
+			}
 		}
+		b.r.recycleRecords(st.outstanding...)
+		clear(st.outstanding)
+		st.outstanding = st.outstanding[:0]
+		b.release()
 	}
-	for i := range b.outstanding {
-		b.outstanding[i] = nil
-	}
-	b.outstanding = b.outstanding[:0]
-	// Every retired call's completion has resolved: no transport goroutine
-	// can still reference them, so they are safe to recycle.
-	for _, c := range b.retired {
-		b.recycle(c)
-	}
-	clearCalls(b.retired)
-	b.retired = b.retired[:0]
 	err := b.err
 	b.err = nil
 	return err
@@ -262,23 +287,42 @@ func (b *Batch) Flush() error {
 // crossing. The aggregate carries the first error in submission order, the
 // combined crossing cost, and the latest virtual completion instant. Under
 // an inline transport the calls completed during submission, so the handle
-// is already settled. The batch is reusable afterwards; the sticky error is
-// cleared (it is carried by the returned completion).
+// is already settled and the aggregate is the flush's only allocation. The
+// batch is reusable afterwards; the sticky error is cleared (it is carried
+// by the returned completion).
 func (b *Batch) FlushAsync() *Completion {
 	ferr := b.submit()
 	if b.err == nil {
 		b.err = ferr
 	}
-	outstanding := b.outstanding
-	b.outstanding = nil
-	// The completions escape to the caller, so the retired calls may still
-	// be referenced until an unknown instant: drop them for the collector
-	// instead of recycling.
-	b.retired = nil
 	stickyErr := b.err
 	b.err = nil
-	if len(outstanding) == 0 {
+	st := b.st
+	if st == nil || len(st.outstanding) == 0 {
+		b.release()
 		return newSettledCompletion(b.r, "flush", stickyErr, b.r.Kernel.Clock().Now())
 	}
-	return aggregate(b.r, "flush", outstanding)
+	children := st.outstanding
+	p := &Completion{name: "flush", r: b.r}
+	if allResolved(children) {
+		fanIn(b.r, p, children)
+		clear(children)
+		st.outstanding = children[:0]
+	} else {
+		// The fan-in goroutine owns the records and their list from here.
+		st.outstanding = nil
+		go fanIn(b.r, p, children)
+	}
+	b.release()
+	return p
+}
+
+// allResolved reports whether every record's completion has resolved.
+func allResolved(recs []*callRecord) bool {
+	for _, rec := range recs {
+		if !rec.comp.isResolved() {
+			return false
+		}
+	}
+	return true
 }

@@ -141,7 +141,8 @@ type Counters struct {
 	// gauges like the worker fields: ResetCounters does not zero them.
 	//
 	// DescRingEntries is the configured slot count per direction;
-	// DescRingPeak is the submit ring's occupancy high-water mark.
+	// DescRingPeak is the most submit descriptors one lane has had
+	// published and not yet completed.
 	DescRingEntries uint64
 	DescRingPeak    uint64
 
@@ -316,18 +317,18 @@ func (r *Runtime) countTrip(name string, up bool) {
 }
 
 // countBatch records one batched crossing delivering the named calls.
-func (r *Runtime) countBatch(calls []*Call) {
+func (r *Runtime) countBatch(subs []*Submission) {
 	s := r.state()
-	c := s.cell(calls[0].Name)
-	if calls[0].Up {
+	c := s.cell(subs[0].Call.Name)
+	if subs[0].Call.Up {
 		c.upcalls.Add(1)
 	} else {
 		c.downcalls.Add(1)
 	}
 	c.batches.Add(1)
-	c.batchedCalls.Add(uint64(len(calls)))
-	for _, call := range calls {
-		s.perCallCounter(call.Name).Add(1)
+	c.batchedCalls.Add(uint64(len(subs)))
+	for _, sub := range subs {
+		s.perCallCounter(sub.Call.Name).Add(1)
 	}
 }
 

@@ -135,32 +135,21 @@ func (r *Runtime) InstallSharedState(mem []byte) error {
 // UpcallHandler performs one blocking upcall dispatched through the handler
 // table: sugar for a single-call Batch flush of UpcallHandler.
 func (r *Runtime) UpcallHandler(ctx *kernel.Context, name string, objs ...any) error {
-	c, err := r.handlerCall(name, nil, objs)
-	if err != nil {
-		return err
-	}
-	return r.submitAndWait(ctx, c)
+	return r.UpcallHandlerData(ctx, name, nil, objs...)
 }
 
 // UpcallHandlerData is UpcallHandler with an opaque payload, delivered to
-// the handler as its Ctx.Data.
+// the handler as its Ctx.Data. The handler is resolved on the submitting
+// side, so a missing registration fails loudly here instead of in the
+// worker.
 func (r *Runtime) UpcallHandlerData(ctx *kernel.Context, name string, data []byte, objs ...any) error {
-	c, err := r.handlerCall(name, data, objs)
-	if err != nil {
-		return err
-	}
-	return r.submitAndWait(ctx, c)
-}
-
-// handlerCall builds a Call dispatched through the registry, resolving the
-// handler at call-creation time so a missing registration fails loudly on
-// the submitting side instead of in the worker.
-func (r *Runtime) handlerCall(name string, data []byte, objs []any) (*Call, error) {
 	h := registry.Lookup(name)
 	if h == nil {
-		return nil, fmt.Errorf("xpc: no handler registered for %q", name)
+		return fmt.Errorf("xpc: no handler registered for %q", name)
 	}
-	return &Call{Name: name, Up: true, h: h, Objs: objs, Data: data}, nil
+	rec := newCallRecord()
+	rec.call = Call{Name: name, Up: true, h: h, Objs: objs, Data: data}
+	return r.submitAndWait(ctx, rec)
 }
 
 // handlerData resolves the payload bytes a handler body sees: the staged
@@ -262,15 +251,15 @@ func (r *Runtime) serveWorkerDowncall(ctx *kernel.Context, name string, arg uint
 		return 0, fmt.Errorf("xpc: no downcall registered for %q", name)
 	}
 	var res uint64
-	call := &Call{Name: name, Up: false, Fn: func(kctx *kernel.Context) error {
+	rec := newCallRecord()
+	rec.call = Call{Name: name, Up: false, Fn: func(kctx *kernel.Context) error {
 		var derr error
 		res, derr = fn(kctx, arg)
 		return derr
 	}}
-	sub := r.NewSubmission(call)
-	r.Admit([]*Submission{sub})
+	r.Admit(rec.one[:])
 	userStart := r.decafCtx.Elapsed()
-	err := r.crossSubmissions(r.decafCtx, []*Submission{sub}, decafSideCrossOptions)
+	err := r.crossSubmissions(r.decafCtx, rec.one[:], decafSideCrossOptions)
 	if d := r.decafCtx.Elapsed() - userStart; d > 0 && ctx != nil {
 		ctx.Sleep(d)
 	}

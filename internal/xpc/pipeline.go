@@ -1,6 +1,7 @@
 package xpc
 
 import (
+	"slices"
 	"time"
 
 	"decafdrivers/internal/kernel"
@@ -50,7 +51,9 @@ func (p *FlushPipeline[T]) Reap(ctx *kernel.Context, now time.Duration, force bo
 		}
 		force = false
 		err := e.done.Wait(ctx)
-		p.entries = p.entries[1:]
+		// Shift rather than reslice, so the backing array keeps its front
+		// capacity and steady-state pushes never reallocate.
+		p.entries = slices.Delete(p.entries, 0, 1)
 		if err != nil {
 			if drop != nil {
 				drop(e.payload, err)

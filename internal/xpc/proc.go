@@ -684,7 +684,11 @@ func (t *ProcTransport) laneCrossOn(r *Runtime, ep *procEpoch, lane *procLane, c
 		}
 		lane.sub.publish()
 	}
-	atomicMaxU64(&t.descPeak, lane.sub.occupancy())
+	// The whole chunk is now in flight on the lane, none of it completed.
+	// Counting it here, rather than reading the ring's occupancy, keeps the
+	// gauge from racing the worker, which may already have consumed part
+	// of the chunk.
+	atomicMaxU64(&t.descPeak, uint64(len(chunk)))
 	r.noteRingCrossing(name)
 	if lane.tr != nil {
 		lane.tr.Emit(trace.KindEnqueue, uint16(lane.idx), trace.SrcKernel, ids[0], uint64(len(chunk)))

@@ -7,9 +7,10 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
-	"time"
 
 	"decafdrivers/internal/kernel"
 )
@@ -195,6 +196,66 @@ func BenchmarkProcRingCrossing(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if err := pt.wireCross(r, ctx, chunk); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkProcHandlerFlush measures a driver operation end to end under
+// the proc transport: stage n zero-copy payloads, queue n handler calls on
+// a fresh Batch, flush, and release the payloads once the flush settled —
+// admission, batch build, lane crossing, worker dispatch and completion
+// settle included. CI runs it with -benchmem and gates Flush at 0
+// allocs/op, and FlushAsync at the same allocs/op for 32 calls as for 1
+// (its per-flush aggregate completion is the only allocation it keeps).
+func BenchmarkProcHandlerFlush(b *testing.B) {
+	for _, mode := range []string{"Flush", "FlushAsync"} {
+		for _, n := range []int{1, 32} {
+			b.Run(fmt.Sprintf("%s/calls=%d", mode, n), func(b *testing.B) {
+				k := newTestKernel()
+				r := newDecafRuntime(k)
+				pt, err := NewProcTransport(ProcConfig{Batch: 32})
+				if err != nil {
+					b.Fatal(err)
+				}
+				r.SetTransport(pt)
+				defer r.SetTransport(nil)
+				ctx := k.NewContext("bench")
+				ring, err := r.NewRing(64, 2048)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := r.RegisterPayloadRing(ctx, ring); err != nil {
+					b.Fatal(err)
+				}
+				frame := bytes.Repeat([]byte{0xA5, 0x5A}, 295)
+				payloads := make([]Payload, n)
+				flush := func() error {
+					batch := r.Batch(ctx)
+					for i := range payloads {
+						payloads[i] = r.AcquirePayload(frame)
+						batch.UpcallHandlerPayload("xpctest_count", payloads[i])
+					}
+					var err error
+					if mode == "Flush" {
+						err = batch.Flush()
+					} else {
+						err = batch.FlushAsync().Wait(ctx)
+					}
+					r.ReleasePayloads(payloads)
+					return err
+				}
+				// Warm up: spawn the worker and fill the pools.
+				if err := flush(); err != nil {
+					b.Fatal(err)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if err := flush(); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
 		}
 	}
 }
@@ -467,11 +528,17 @@ func TestProcSpillLaneAbsorbsOversubscription(t *testing.T) {
 }
 
 // TestProcSigkillMidContentionRecovers: SIGKILL the worker while K
-// submitters are mid-storm. Every in-flight crossing must resolve — as a
-// contained *UserFault (caused by *WorkerDeath) or an ErrCrossingAborted
-// sibling, never a hang or a raw error — the epoch's lanes must be re-carved
-// for a fresh worker, and post-storm crossings (including zero-copy slot
-// resolution, which requires the re-registered ring geometry) must succeed.
+// submitters are mid-storm. The kills are driven by progress, not time:
+// each one waits until the submitters have completed another batch of
+// rounds, and the storm runs on until rounds after the last kill have
+// completed too, so every kill lands between crossings of a live storm —
+// and on a worker the storm has already respawned. Every in-flight
+// crossing must resolve — as a contained *UserFault
+// (caused by *WorkerDeath) or an ErrCrossingAborted sibling, never a hang
+// or a raw error — each death must be detected and the epoch's lanes
+// re-carved for a fresh worker, and post-storm crossings (including
+// zero-copy slot resolution, which requires the re-registered ring
+// geometry) must succeed.
 func TestProcSigkillMidContentionRecovers(t *testing.T) {
 	k, r, pt := newProcRig(t, 4)
 	ctx := k.NewContext("warm")
@@ -485,34 +552,65 @@ func TestProcSigkillMidContentionRecovers(t *testing.T) {
 	if err := r.Upcall(ctx, "warmup", func(uctx *kernel.Context) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
-	const submitters, rounds = 6, 60
-	unexpected := make(chan error, submitters*rounds)
+	const submitters, kills, roundsPerKill = 6, 3, 60
+	var rounds atomic.Int64
+	unexpected := make(chan error, submitters)
+	stop := make(chan struct{})
 	var wg sync.WaitGroup
-	start := make(chan struct{})
 	for w := 0; w < submitters; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			ctx := k.NewContext(fmt.Sprintf("storm-%d", w))
-			<-start
-			for i := 0; i < rounds; i++ {
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
 				err := r.Upcall(ctx, "tx", func(uctx *kernel.Context) error { return nil })
 				if err != nil && !IsUserFault(err) && !errors.Is(err, ErrCrossingAborted) {
 					unexpected <- fmt.Errorf("submitter %d round %d: %w", w, i, err)
 					return
 				}
+				rounds.Add(1)
 			}
 		}(w)
 	}
-	close(start)
-	for i := 0; i < 3; i++ {
-		time.Sleep(2 * time.Millisecond)
-		pt.KillWorker()
+	// awaitRounds waits for the storm's progress; a submitter that failed
+	// stops the test instead of the wait.
+	awaitRounds := func(n int64) {
+		for rounds.Load() < n {
+			select {
+			case err := <-unexpected:
+				close(stop)
+				wg.Wait()
+				t.Fatal(err)
+			default:
+				runtime.Gosched()
+			}
+		}
 	}
+	deaths := r.Counters().WorkerDeaths
+	for i := 1; i <= kills; i++ {
+		// Counted from the previous kill's return, so the storm has seen
+		// that death and respawned before this kill.
+		awaitRounds(rounds.Load() + roundsPerKill)
+		if !pt.KillWorker() {
+			t.Fatalf("kill %d found no live worker mid-storm", i)
+		}
+	}
+	awaitRounds(rounds.Load() + roundsPerKill)
+	close(stop)
 	wg.Wait()
 	close(unexpected)
 	for err := range unexpected {
 		t.Fatal(err)
+	}
+	c := r.Counters()
+	if c.WorkerDeaths-deaths != kills || c.WorkerRespawns < kills {
+		t.Fatalf("WorkerDeaths +%d, WorkerRespawns %d: want +%d and >= %d (every kill detected mid-storm and healed)",
+			c.WorkerDeaths-deaths, c.WorkerRespawns, kills, kills)
 	}
 	// The boundary heals: lanes re-carved, ring geometry replayed, zero-copy
 	// crossings resolve on the fresh worker.
@@ -525,12 +623,52 @@ func TestProcSigkillMidContentionRecovers(t *testing.T) {
 		t.Fatalf("zero-copy crossing after mid-contention SIGKILL: %v", err)
 	}
 	r.ReleasePayload(p)
-	c := r.Counters()
-	if c.WorkerDeaths < 1 || c.WorkerRespawns < 1 {
-		t.Fatalf("WorkerDeaths=%d WorkerRespawns=%d, want >= 1 each", c.WorkerDeaths, c.WorkerRespawns)
-	}
-	if !c.WorkerAlive {
+	if !r.Counters().WorkerAlive {
 		t.Fatal("no live worker after recovery")
+	}
+}
+
+// TestProcIdleDeathReportsThenHeals pins the idle-death contract on the
+// zero-copy handler path: a worker that dies while no crossing is in
+// flight is noticed by the first crossing after it, which reports the
+// death as a contained *UserFault caused by *WorkerDeath; the crossing
+// after that runs on a respawned worker, with the payload ring geometry
+// replayed so the slot resolves and its checksum verifies.
+func TestProcIdleDeathReportsThenHeals(t *testing.T) {
+	k, r, pt := newProcRig(t, 4)
+	ctx := k.NewContext("test")
+	ring, err := r.NewRing(8, 512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.RegisterPayloadRing(ctx, ring); err != nil {
+		t.Fatal(err)
+	}
+	flush := func() error {
+		p := r.AcquirePayload([]byte("idle-death payload"))
+		if !p.Direct() {
+			t.Fatal("payload not staged in the mapped ring")
+		}
+		defer r.ReleasePayload(p)
+		return r.Batch(ctx).UpcallHandlerPayload("xpctest_count", p).Flush()
+	}
+	if err := flush(); err != nil {
+		t.Fatal(err)
+	}
+	oldPID := pt.WorkerPID()
+	if !pt.KillWorker() {
+		t.Fatal("no worker to kill")
+	}
+	err = flush()
+	var death *WorkerDeath
+	if !IsUserFault(err) || !errors.As(err, &death) || death.PID != oldPID {
+		t.Fatalf("first crossing after an idle death returned %v, want a UserFault caused by WorkerDeath of pid %d", err, oldPID)
+	}
+	if err := flush(); err != nil {
+		t.Fatalf("second crossing after an idle death: %v", err)
+	}
+	if pid := pt.WorkerPID(); pid == 0 || pid == oldPID {
+		t.Fatalf("worker pid = %d after healing, want a fresh process (old %d)", pid, oldPID)
 	}
 }
 

@@ -2,6 +2,7 @@ package xpc
 
 import (
 	"errors"
+	"sync/atomic"
 	"time"
 
 	"decafdrivers/internal/kernel"
@@ -34,15 +35,93 @@ type Submission struct {
 	// Call is the crossing request.
 	Call *Call
 	// Completion is the observable outcome. Runtime.Admit populates it when
-	// nil; callers that need the handle before submitting (the Batch builder
-	// does, to aggregate) may create it via Runtime.NewSubmission.
+	// nil and binds it to the runtime; callers that need the handle before
+	// submitting may create it via Runtime.NewSubmission.
 	Completion *Completion
 }
 
 // NewSubmission wraps a call with a fresh Completion handle bound to this
 // runtime.
 func (r *Runtime) NewSubmission(c *Call) *Submission {
-	return &Submission{Call: c, Completion: newCompletion(r, c.Name, c.Up)}
+	return &Submission{Call: c, Completion: &Completion{name: c.Name, up: c.Up, r: r}}
+}
+
+// callRecord is one call in flight — its Call, the Submission carrying it
+// and the Completion it resolves — in a single allocation. one is the
+// single-element list a blocking call hands to Transport.Submit.
+//
+// A Batch draws its records from the runtime's free list and recycles each
+// once its completion has been read, so a handler flush allocates nothing
+// per call. A blocking call (Upcall, Downcall, UpcallHandler) takes a fresh
+// record and leaves it to the collector: recycling those as well removes
+// most of the control path's garbage, collections then become rare enough
+// that machines discarded in sequence keep their DMA arenas resident
+// longer, and peak RSS of a rebooted ens1371 control loop rose by a quarter
+// (2 vCPUs, go1.24).
+type callRecord struct {
+	call Call
+	sub  Submission
+	comp Completion
+	one  [1]*Submission
+}
+
+// maxFreeRecords bounds a runtime's free list, so a burst of calls through
+// one Batch does not stay pinned after it.
+const maxFreeRecords = 1024
+
+// newCallRecord returns a fresh record, wired so its Submission carries its
+// own Call and Completion.
+func newCallRecord() *callRecord {
+	return new(callRecord).wire()
+}
+
+func (rec *callRecord) wire() *callRecord {
+	rec.sub = Submission{Call: &rec.call, Completion: &rec.comp}
+	rec.one[0] = &rec.sub
+	return rec
+}
+
+// takeRecord returns a cleared record from the runtime's free list, or a
+// fresh one.
+func (r *Runtime) takeRecord() *callRecord {
+	r.freeMu.Lock()
+	rec := popFree(&r.freeRecords)
+	r.freeMu.Unlock()
+	if rec == nil {
+		return newCallRecord()
+	}
+	return rec.wire()
+}
+
+// popFree removes and returns the last entry of a free list, nil when it is
+// empty. The caller holds the runtime's freeMu.
+func popFree[T any](list *[]*T) *T {
+	n := len(*list)
+	if n == 0 {
+		return nil
+	}
+	v := (*list)[n-1]
+	(*list)[n-1] = nil
+	*list = (*list)[:n-1]
+	return v
+}
+
+// recycleRecords clears records, so the free list pins no payloads or
+// closures, and returns them to the runtime's free list. The caller must
+// have seen each record's completion resolve (or never submitted it). That
+// is enough because resolving a Completion is a transport's last touch of
+// its submission: Completion.resolve snapshots what its fault notifier
+// needs before publishing, and no transport reads a submission after
+// resolving it.
+func (r *Runtime) recycleRecords(recs ...*callRecord) {
+	r.freeMu.Lock()
+	for _, rec := range recs {
+		*rec = callRecord{}
+		if len(r.freeRecords) < maxFreeRecords {
+			r.freeRecords = append(r.freeRecords, rec)
+		}
+	}
+	r.freeMu.Unlock()
 }
 
 // FaultEvent describes one contained decaf-side fault, delivered to the
@@ -77,10 +156,17 @@ type Completion struct {
 	up   bool
 	r    *Runtime
 
-	done chan struct{}
+	// waiter is nil while the completion is pending and nobody waits, a
+	// waiter's channel once one has to block (Done, or a wait before
+	// resolution), and &resolvedMark once resolved. Resolution swaps the
+	// mark in as its last touch of the completion and then closes any
+	// channel it displaced, so a completion resolved before anyone waits
+	// never makes a channel, and a waiter that sees the mark may recycle
+	// the completion at once.
+	waiter atomic.Pointer[chan struct{}]
 
-	// Resolved fields, written exactly once before done is closed and
-	// immutable after; the channel close publishes them.
+	// Resolved fields, written exactly once before resolution publishes
+	// them and immutable after.
 	err        error
 	fault      bool
 	queueWait  time.Duration
@@ -90,120 +176,130 @@ type Completion struct {
 	submitClock time.Duration
 }
 
-func newCompletion(r *Runtime, name string, up bool) *Completion {
-	return &Completion{name: name, up: up, r: r, done: make(chan struct{})}
-}
+// resolvedMark is the waiter value of a resolved completion: the channel
+// Done hands out once nothing is left to wait for.
+var resolvedMark = func() chan struct{} {
+	c := make(chan struct{})
+	close(c)
+	return c
+}()
 
 // newSettledCompletion returns an already-resolved completion (empty
-// flushes, native-mode paths).
+// flushes).
 func newSettledCompletion(r *Runtime, name string, err error, at time.Duration) *Completion {
-	c := &Completion{name: name, r: r, done: make(chan struct{})}
-	c.err = err
-	c.completeAt = at
-	close(c.done)
+	c := &Completion{name: name, r: r, err: err, completeAt: at}
+	c.waiter.Store(&resolvedMark)
 	return c
+}
+
+// isResolved reports, without blocking, whether the completion resolved.
+func (c *Completion) isResolved() bool { return c.waiter.Load() == &resolvedMark }
+
+// publish marks the completion resolved and wakes any blocked waiter. Every
+// resolved field must be written before it, and the swap is its last touch
+// of c.
+func (c *Completion) publish() {
+	if w := c.waiter.Swap(&resolvedMark); w != nil {
+		close(*w)
+	}
+}
+
+// wait blocks until the completion resolves.
+func (c *Completion) wait() {
+	if !c.isResolved() {
+		<-c.Done()
+	}
 }
 
 // resolve publishes the outcome. queueWait and completeAt must already be
 // stamped by the transport; crossCost is this call's share of the crossing.
 // A fault outcome is additionally delivered to the runtime's fault notifier
-// (after the channel close, so a notifier that inspects the completion sees
-// it settled).
+// after publication, from a snapshot: once published, the completion may
+// already be recycled by its waiter.
 func (c *Completion) resolve(err error, fault bool, crossCost time.Duration) {
 	c.err = err
 	c.fault = fault
 	c.crossCost = crossCost
-	if c.r != nil {
-		c.r.noteCompletion(c.name, c.queueWait, crossCost, fault)
-		c.r.inFlight.Add(-1)
+	r := c.r
+	var ev FaultEvent
+	if r != nil {
+		r.noteCompletion(c.name, c.queueWait, crossCost, fault)
+		r.inFlight.Add(-1)
+		ev = FaultEvent{Call: c.name, Up: c.up, Err: err, At: c.completeAt}
 	}
-	close(c.done)
-	if fault && c.r != nil {
-		if fp := c.r.faultNotifier.Load(); fp != nil {
-			(*fp)(FaultEvent{Call: c.name, Up: c.up, Err: err, At: c.completeAt})
+	c.publish()
+	if fault && r != nil {
+		if fp := r.faultNotifier.Load(); fp != nil {
+			(*fp)(ev)
 		}
 	}
 }
 
-// aggregate builds a completion that resolves when the last child does,
-// carrying the first error in submission order, any fault, the combined
-// crossing cost and the latest virtual completion instant. A small waiter
-// goroutine performs the fan-in; transports guarantee every child resolves,
-// so it always terminates.
-func aggregate(r *Runtime, name string, children []*Completion) *Completion {
-	p := &Completion{name: name, r: r, done: make(chan struct{})}
-	fanIn := func() {
-		for _, ch := range children {
-			<-ch.done
-			if p.err == nil {
-				p.err = ch.err
-			}
-			p.fault = p.fault || ch.fault
-			if ch.queueWait > p.queueWait {
-				p.queueWait = ch.queueWait
-			}
-			p.crossCost += ch.crossCost
-			if ch.completeAt > p.completeAt {
-				p.completeAt = ch.completeAt
-			}
+// fanIn resolves the aggregate p once every child has: it carries the first
+// error in submission order, any fault, the largest queue wait, the
+// combined crossing cost and the latest virtual completion instant. Reading
+// a child is the last use of its record, so fanIn then recycles them.
+// Transports guarantee every child resolves, so fanIn always returns.
+func fanIn(r *Runtime, p *Completion, children []*callRecord) {
+	for _, rec := range children {
+		ch := &rec.comp
+		ch.wait()
+		if p.err == nil {
+			p.err = ch.err
 		}
-		close(p.done)
+		p.fault = p.fault || ch.fault
+		p.queueWait = max(p.queueWait, ch.queueWait)
+		p.crossCost += ch.crossCost
+		p.completeAt = max(p.completeAt, ch.completeAt)
 	}
-	// Inline transports resolve children during submission: finalize
-	// synchronously so the handle is deterministically settled on return.
-	allDone := true
-	for _, ch := range children {
-		select {
-		case <-ch.done:
-		default:
-			allDone = false
-		}
-		if !allDone {
-			break
-		}
-	}
-	if allDone {
-		fanIn()
-	} else {
-		go fanIn()
-	}
-	return p
+	r.recycleRecords(children...)
+	p.publish()
 }
 
 // Done returns a channel closed when the completion resolves.
-func (c *Completion) Done() <-chan struct{} { return c.done }
+func (c *Completion) Done() <-chan struct{} {
+	w := c.waiter.Load()
+	if w == nil {
+		ch := make(chan struct{})
+		if c.waiter.CompareAndSwap(nil, &ch) {
+			return ch
+		}
+		w = c.waiter.Load()
+	}
+	return *w
+}
 
 // Err blocks until the completion resolves and returns the call's error
 // (nil, the call's own error, a *UserFault, or a queue/abort error).
 func (c *Completion) Err() error {
-	<-c.done
+	c.wait()
 	return c.err
 }
 
 // Faulted blocks until resolution and reports whether the decaf side
 // panicked: the fault was contained and failed only this completion.
 func (c *Completion) Faulted() bool {
-	<-c.done
+	c.wait()
 	return c.fault
 }
 
 // QueueWait blocks until resolution and reports the virtual time the
 // submission waited behind earlier work before its crossing started.
 func (c *Completion) QueueWait() time.Duration {
-	<-c.done
+	c.wait()
 	return c.queueWait
 }
 
 // CrossLatency blocks until resolution and reports this call's share of the
 // crossing's virtual cost (transition, marshaling, execution).
 func (c *Completion) CrossLatency() time.Duration {
-	<-c.done
+	c.wait()
 	return c.crossCost
 }
 
 // Latency blocks until resolution and reports queue wait plus crossing cost.
 func (c *Completion) Latency() time.Duration {
-	<-c.done
+	c.wait()
 	return c.queueWait + c.crossCost
 }
 
@@ -212,7 +308,7 @@ func (c *Completion) Latency() time.Duration {
 // cost was already charged to the submitter); async transports complete in
 // the caller's future.
 func (c *Completion) CompleteAt() time.Duration {
-	<-c.done
+	c.wait()
 	return c.completeAt
 }
 
@@ -220,12 +316,7 @@ func (c *Completion) CompleteAt() time.Duration {
 // and its virtual completion instant has been reached at the given clock
 // reading. Drivers poll this to reap async flushes at their due time.
 func (c *Completion) Settled(now time.Duration) bool {
-	select {
-	case <-c.done:
-	default:
-		return false
-	}
-	return c.completeAt <= now
+	return c.isResolved() && c.completeAt <= now
 }
 
 // Wait blocks until the completion resolves, charges ctx the caller-visible
@@ -237,7 +328,7 @@ func (c *Completion) Settled(now time.Duration) bool {
 // waits immediately stalls the full latency (Upcall/Downcall sugar), while
 // a caller that produced work in the meantime stalls only the remainder.
 func (c *Completion) Wait(ctx *kernel.Context) error {
-	<-c.done
+	c.wait()
 	if ctx != nil && c.r != nil {
 		c.r.chargeCatchUp(ctx, c.name, c.completeAt)
 	}
@@ -262,17 +353,20 @@ func (r *Runtime) chargeCatchUp(ctx *kernel.Context, name string, target time.Du
 }
 
 // Admit prepares submissions for transport: it creates missing Completion
-// handles, stamps the submit instant, and bumps the submission counters and
+// handles, binds every handle to this runtime, stamps the submit instant, and bumps the submission counters and
 // in-flight gauge. Every Transport implementation calls Admit before
 // queueing or crossing; a transport must then resolve every admitted
 // completion exactly once.
 func (r *Runtime) Admit(subs []*Submission) {
 	now := r.Kernel.Clock().Now()
 	for _, sub := range subs {
-		if sub.Completion == nil {
-			sub.Completion = newCompletion(r, sub.Call.Name, sub.Call.Up)
+		c := sub.Completion
+		if c == nil {
+			c = new(Completion)
+			sub.Completion = c
 		}
-		sub.Completion.submitClock = now
+		c.name, c.up, c.r = sub.Call.Name, sub.Call.Up, r
+		c.submitClock = now
 		r.noteSubmission(sub.Call.Name)
 		r.inFlight.Add(1)
 	}

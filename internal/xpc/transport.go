@@ -72,7 +72,10 @@ type Transport interface {
 	// paths (queue full, transport closed, aborted flush). The returned
 	// error is the first synchronously-known failure: inline transports
 	// report the first call error, asynchronous ones only admission
-	// failures — later errors surface through the Completions.
+	// failures — later errors surface through the Completions. Submit
+	// does not retain subs after it returns (the caller reuses the slice),
+	// and resolving a submission's Completion is the transport's last
+	// touch of that submission (its waiter may recycle it at once).
 	Submit(r *Runtime, ctx *kernel.Context, subs []*Submission) error
 	// Drain blocks until every submission accepted so far has completed,
 	// charging ctx any catch-up stall. Inline transports complete within

@@ -285,6 +285,16 @@ type Runtime struct {
 	downcalls atomic.Pointer[map[string]DowncallHandler]
 	downMu    sync.Mutex
 
+	// freeMu guards the free lists a Batch draws its call records and
+	// working sets from, so steady-state flushes allocate nothing (see
+	// callRecord). Plain lists rather than sync.Pools: they die with the
+	// runtime, where a sync.Pool's global registration would keep a
+	// discarded runtime, and the machine it references, reachable for two
+	// more collections.
+	freeMu      sync.Mutex
+	freeRecords []*callRecord
+	freeStates  []*batchState
+
 	// mu guards the shared-object registry only; the crossing fast path
 	// never takes it.
 	mu     sync.Mutex
@@ -620,7 +630,9 @@ func (r *Runtime) SetFaultInjector(fn func(call string) bool) {
 // converts a panic in fn into a *UserFault error rather than a kernel crash
 // (driver isolation).
 func (r *Runtime) Upcall(ctx *kernel.Context, name string, fn func(uctx *kernel.Context) error, objs ...any) error {
-	return r.submitAndWait(ctx, &Call{Name: name, Up: true, Fn: fn, Objs: objs})
+	rec := newCallRecord()
+	rec.call = Call{Name: name, Up: true, Fn: fn, Objs: objs}
+	return r.submitAndWait(ctx, rec)
 }
 
 // Downcall transfers control from the decaf driver into the kernel — the
@@ -629,38 +641,44 @@ func (r *Runtime) Upcall(ctx *kernel.Context, name string, fn func(uctx *kernel.
 // kernel state is synchronized back after. In ModeNative fn runs directly.
 // Like Upcall, Downcall is Submit + immediate Wait.
 func (r *Runtime) Downcall(uctx *kernel.Context, name string, fn func(kctx *kernel.Context) error, objs ...any) error {
-	return r.submitAndWait(uctx, &Call{Name: name, Up: false, Fn: fn, Objs: objs})
+	rec := newCallRecord()
+	rec.call = Call{Name: name, Up: false, Fn: fn, Objs: objs}
+	return r.submitAndWait(uctx, rec)
 }
 
-// submitAndWait is the blocking sugar shared by Upcall and Downcall.
-func (r *Runtime) submitAndWait(ctx *kernel.Context, c *Call) error {
-	if r.Mode == ModeNative {
-		if c.h != nil {
-			return r.runHandlerNative(ctx, c)
+// submitAndWait is the blocking sugar shared by Upcall, Downcall and the
+// handler forms.
+func (r *Runtime) submitAndWait(ctx *kernel.Context, rec *callRecord) error {
+	var err error
+	c := &rec.call
+	switch {
+	case r.Mode == ModeNative && c.h != nil:
+		err = r.runHandlerNative(ctx, c)
+	case r.Mode == ModeNative:
+		err = c.Fn(ctx)
+	default:
+		err = r.Transport().Submit(r, ctx, rec.one[:])
+		// A transport that failed before admission never bound the
+		// completion; Submit's error is all there is.
+		if rec.comp.r != nil {
+			err = rec.comp.Wait(ctx)
 		}
-		return c.Fn(ctx)
 	}
-	sub := &Submission{Call: c}
-	err := r.Transport().Submit(r, ctx, []*Submission{sub})
-	if sub.Completion == nil {
-		// A transport that failed before admission; Submit's error is all
-		// there is.
-		return err
-	}
-	return sub.Completion.Wait(ctx)
+	return err
 }
 
-// maskIRQs disables the runtime's listed interrupt lines and returns the
-// function restoring them, so "the driver cannot interrupt itself" while its
-// user-level half runs (§3.1.3).
-func (r *Runtime) maskIRQs() func() {
+// maskIRQs disables the runtime's listed interrupt lines, so "the driver
+// cannot interrupt itself" while its user-level half runs (§3.1.3);
+// unmaskIRQs restores them.
+func (r *Runtime) maskIRQs() {
 	for _, irq := range r.DisableIRQs {
 		r.Kernel.DisableIRQ(irq)
 	}
-	return func() {
-		for _, irq := range r.DisableIRQs {
-			r.Kernel.EnableIRQ(irq)
-		}
+}
+
+func (r *Runtime) unmaskIRQs() {
+	for _, irq := range r.DisableIRQs {
+		r.Kernel.EnableIRQ(irq)
 	}
 }
 
@@ -845,26 +863,28 @@ func (r *Runtime) crossSubmissions(ctx *kernel.Context, subs []*Submission, opt 
 	if len(subs) == 0 {
 		return nil
 	}
-	first := subs[0].Call
-	if first.Up {
-		ctx.AssertMayBlock("XPC upcall " + first.Name)
-		if opt.maskIRQs {
-			defer r.maskIRQs()()
+	// The submissions resolve inside this call, and a resolved submission
+	// may be recycled at once: take what is needed after the loop now.
+	name, up := subs[0].Call.Name, subs[0].Call.Up
+	if !ctx.MayBlock() {
+		// Cold: the message is built only for the oops.
+		if up {
+			ctx.AssertMayBlock("XPC upcall " + name)
+		} else {
+			ctx.AssertMayBlock("XPC downcall " + name)
 		}
-	} else {
-		ctx.AssertMayBlock("XPC downcall " + first.Name)
+	}
+	if up && opt.maskIRQs {
+		r.maskIRQs()
+		defer r.unmaskIRQs()
 	}
 
 	startElapsed, startBusy := ctx.Elapsed(), ctx.Busy()
 	if len(subs) == 1 {
-		r.countTrip(first.Name, first.Up)
+		r.countTrip(name, up)
 		r.Latency.chargeTrip(ctx)
 	} else {
-		calls := make([]*Call, len(subs))
-		for i, sub := range subs {
-			calls[i] = sub.Call
-		}
-		r.countBatch(calls)
+		r.countBatch(subs)
 		r.Latency.chargeBatchTrip(ctx, len(subs))
 	}
 
@@ -881,7 +901,7 @@ func (r *Runtime) crossSubmissions(ctx *kernel.Context, subs []*Submission, opt 
 		// hide; record it so benchmarks can compare transports.
 		slept := (ctx.Elapsed() - startElapsed) - (ctx.Busy() - startBusy)
 		if slept > 0 {
-			r.noteStall(first.Name, slept)
+			r.noteStall(name, slept)
 		}
 	}
 	return err
@@ -908,21 +928,21 @@ func resolveAt(sub *Submission, opt crossOptions, cum time.Duration, prev time.D
 // calls but the already-executed calls' objects still synchronize back.
 // Returns the first error.
 func (r *Runtime) runChunkAborting(ctx *kernel.Context, subs []*Submission, opt crossOptions, baseElapsed time.Duration) error {
+	// Until the resolve loop below publishes them, each reached
+	// submission's own Completion holds its error and its cumulative cost
+	// mark, so the chunk needs no scratch of its own.
 	executed, reached := 0, 0
-	errs := make([]error, len(subs))
-	marks := make([]time.Duration, len(subs))
 	var err error
 	for i, sub := range subs {
+		c := sub.Completion
 		if serr := r.syncIn(ctx, sub.Call); serr != nil {
 			err = serr
-			errs[i] = serr
-			marks[i] = ctx.Elapsed() - baseElapsed
+			c.err, c.crossCost = serr, ctx.Elapsed()-baseElapsed
 			reached = i + 1
 			break
 		}
 		err = r.execute(ctx, sub.Call)
-		errs[i] = err
-		marks[i] = ctx.Elapsed() - baseElapsed
+		c.err, c.crossCost = err, ctx.Elapsed()-baseElapsed
 		executed++
 		reached = i + 1
 		if err != nil {
@@ -931,10 +951,10 @@ func (r *Runtime) runChunkAborting(ctx *kernel.Context, subs []*Submission, opt 
 	}
 	_, faulted := err.(*UserFault)
 	if !faulted {
-		for i, sub := range subs[:executed] {
+		for _, sub := range subs[:executed] {
 			if serr := r.syncOut(ctx, sub.Call); serr != nil {
-				if errs[i] == nil {
-					errs[i] = serr
+				if sub.Completion.err == nil {
+					sub.Completion.err = serr
 				}
 				if err == nil {
 					err = serr
@@ -949,9 +969,11 @@ func (r *Runtime) runChunkAborting(ctx *kernel.Context, subs []*Submission, opt 
 			resolveAt(sub, opt, prev, prev, ErrCrossingAborted, false)
 			continue
 		}
-		_, f := errs[i].(*UserFault)
-		resolveAt(sub, opt, marks[i], prev, errs[i], f)
-		prev = marks[i]
+		c := sub.Completion
+		mark := c.crossCost
+		_, f := c.err.(*UserFault)
+		resolveAt(sub, opt, mark, prev, c.err, f)
+		prev = mark
 	}
 	return err
 }
