@@ -46,16 +46,15 @@ type Ctx struct {
 	State *State
 
 	// down is the boundary crossing installed by the dispatcher: in the
-	// worker it frames a FrameDown onto the socketpair; in-process it is a
-	// real Runtime.Downcall.
+	// worker it carries a FrameDown over the calling lane's shared-memory
+	// rings; in-process it is a real Runtime.Downcall.
 	down func(name string, arg uint64) (uint64, error)
 }
 
 // Downcall crosses back into the kernel: the named downcall runs
 // kernel-side with arg and returns its scalar result. Only handlers
-// registered with Down: true may call it — the transport routes
-// downcall-bearing handlers over the control path that can serve nested
-// crossings.
+// registered with Down: true may call it — the dispatcher installs the
+// route that serves nested crossings only for them.
 func (c *Ctx) Downcall(name string, arg uint64) (uint64, error) {
 	if c.down == nil {
 		return 0, fmt.Errorf("registry: handler %q has no downcall route (register it with Down: true)", c.Name)
@@ -75,9 +74,9 @@ type Handler struct {
 	// the kernel-side dispatcher (the worker has no virtual clock).
 	Cost time.Duration
 	// Down declares that Fn may call Ctx.Downcall. The proc transport
-	// routes Down handlers over the socketpair control path (which can
-	// serve nested crossings mid-call) instead of the descriptor-ring fast
-	// path.
+	// gives Down handlers a downcall route over their lane's rings and
+	// publishes nothing behind a Down handler's frame until it completes,
+	// so the lane carries its nested crossings mid-call.
 	Down bool
 	// Fn is the call body. A panic inside Fn is a decaf fault: contained,
 	// reported to the kernel side, and — under the proc transport — fatal

@@ -62,12 +62,15 @@ const (
 	FrameCall
 	// FrameDown is a worker→kernel nested downcall made by an executing
 	// handler: Name is the registered downcall name, Aux the scalar
-	// argument, and ID echoes the FrameCall that is mid-execution. The
-	// kernel side serves it inline and answers with FrameDownResult before
-	// the handler's own completion is written.
+	// argument, and ID and Lane echo the FrameCall that is mid-execution.
+	// It travels as a descriptor in that lane's completion ring; the kernel
+	// side serves it inside its completion wait and answers with
+	// FrameDownResult in the lane's submit ring before the handler's own
+	// completion is written. Never sent on the socketpair.
 	FrameDown
-	// FrameDownResult answers a FrameDown: Aux is the downcall's scalar
-	// result; a non-zero Status carries the error text in Name.
+	// FrameDownResult answers a FrameDown in the same lane's submit ring:
+	// Aux is the downcall's scalar result; a non-zero Status carries the
+	// error text in Name.
 	FrameDownResult
 	// FrameStateMap publishes the shm-backed shared-state area to the
 	// worker: Aux packs offset<<32 | length, the offset 64-byte aligned

@@ -98,8 +98,8 @@ type Counters struct {
 	// worker-side execution is live.
 	WorkerServedCalls uint64
 	// WorkerDowncalls counts nested downcalls served on behalf of
-	// worker-resident handler bodies: each is a FrameDown round trip from
-	// the worker mid-call back into the kernel.
+	// worker-resident handler bodies: each is a FrameDown round trip on the
+	// calling lane's rings, from the worker mid-call back into the kernel.
 	WorkerDowncalls uint64
 
 	// InFlight is a gauge: submissions admitted but not yet completed.

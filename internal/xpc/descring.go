@@ -52,7 +52,7 @@ import (
 //
 // The proc transport carves N+1 independent lanes from the mapping tail —
 // each lane a submit+complete SPSC ring pair — preceded by a laneDir header.
-// Every per-lane ring obeys invariants 1–3 unchanged; lanes add three more:
+// Every per-lane ring obeys invariants 1–3 unchanged; lanes add four more:
 //
 //  4. Lane exclusivity. A lane's kernel side is single-producer by
 //     construction: a submitter owns a lane only between a successful
@@ -74,6 +74,21 @@ import (
 //     promises FIFO within a lane and nothing across lanes. Cross-lane
 //     ordering is deliberately unspecified — that independence is what
 //     removes the transport-wide lock.
+//  7. Nothing behind a downcall-capable frame. A handler registered Down
+//     may call back into the kernel mid-execution: it writes a FrameDown
+//     into its lane's completion ring and then reads the lane's submit
+//     ring for the matching FrameDownResult. So the kernel side publishes
+//     a chunk in segments, each ending at a Down handler's frame, and
+//     publishes no further submit descriptor on the lane until that
+//     frame's completion arrives; the only descriptors it writes meanwhile
+//     are FrameDownResults answering the handler's FrameDowns, one per
+//     request. The worker therefore finds nothing else in the submit ring
+//     while it waits, and anything else is a protocol violation. Room is
+//     guaranteed in both directions: the worker advances past each submit
+//     descriptor before dispatching it, and a segment never exceeds the
+//     ring. The waiting worker parks through the worker-wide flag
+//     (invariant 5), so the kernel side swaps it after publishing each
+//     result.
 
 // descHdrSize is the encoded size of a ring header: three cache lines (head,
 // tail, parked), so the producer's and consumer's hot fields never

@@ -66,6 +66,15 @@ type DowncallHandler func(kctx *kernel.Context, arg uint64) (uint64, error)
 // Drivers register their downcalls at construction, before any handler that
 // names them can cross. Registration is per-Runtime (two driver instances
 // never share downcall tables) and last-registration-wins.
+//
+// A target runs in the nucleus, inside the calling crossing, and must not
+// itself cross the transport (no Upcall, Batch flush or handler call):
+// under the proc transport the worker's single lane server is blocked in
+// the calling handler until the target's result arrives, so a nested
+// crossing would wait on a server that cannot run until the worker is
+// declared wedged. Register/MMIO access and state writes are what targets
+// are for. While a handler awaits a target's result, crossings on other
+// lanes wait too, just as they wait behind any handler body.
 func (r *Runtime) RegisterDowncall(name string, fn DowncallHandler) {
 	if name == "" || fn == nil {
 		panic("xpc: RegisterDowncall needs a name and a function")
@@ -195,9 +204,12 @@ func (r *Runtime) executeHandler(ctx *kernel.Context, c *Call) error {
 func (r *Runtime) applyRemote(ctx *kernel.Context, c *Call) error {
 	switch c.remoteStatus {
 	case remoteCallOK, remoteCallFailed:
+		r.decafMu.Lock()
 		userStart := r.decafCtx.Elapsed()
 		r.decafCtx.Charge(c.h.Cost)
-		if d := r.decafCtx.Elapsed() - userStart; d > 0 {
+		d := r.decafCtx.Elapsed() - userStart
+		r.decafMu.Unlock()
+		if d > 0 {
 			ctx.Sleep(d)
 		}
 		r.noteWorkerServed(c.Name)
@@ -243,7 +255,7 @@ func (r *Runtime) dispatchDowncall(uctx *kernel.Context, name string, arg uint64
 // (it IS the decaf driver calling down), and charge the submitting caller
 // the crossing's elapsed time — keeping the virtual cost identical to an
 // inline handler making the same downcall. Called from the transport's
-// control path while a chunk is mid-flight, so it must not re-enter
+// completion wait while a chunk is mid-flight, so it must not re-enter
 // Transport.Submit; it crosses through the crossing engine directly.
 func (r *Runtime) serveWorkerDowncall(ctx *kernel.Context, name string, arg uint64) (uint64, error) {
 	fn := r.downcallFn(name)
@@ -258,9 +270,14 @@ func (r *Runtime) serveWorkerDowncall(ctx *kernel.Context, name string, arg uint
 		return derr
 	}}
 	r.Admit(rec.one[:])
+	// The target runs inside the accounting window; by contract it does
+	// not cross the transport, so the window never spans a ring wait.
+	r.decafMu.Lock()
 	userStart := r.decafCtx.Elapsed()
 	err := r.crossSubmissions(r.decafCtx, rec.one[:], decafSideCrossOptions)
-	if d := r.decafCtx.Elapsed() - userStart; d > 0 && ctx != nil {
+	d := r.decafCtx.Elapsed() - userStart
+	r.decafMu.Unlock()
+	if d > 0 && ctx != nil {
 		ctx.Sleep(d)
 	}
 	r.noteWorkerDowncall(name)

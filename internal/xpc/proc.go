@@ -135,7 +135,9 @@ type ProcConfig struct {
 // payload bytes the worker reads through its own shm mapping. Results,
 // contained panics and injected-fault outcomes travel back as completion
 // statuses; nested downcalls from an executing handler cross back as
-// FrameDown round trips on the socketpair. Shared driver state lives in a
+// FrameDown / FrameDownResult round trips on the claimed lane's own rings
+// (see laneCrossOn), so downcall-capable handlers ride the lanes like any
+// other call. Shared driver state lives in a
 // state window of the same mapping (FrameStateMap), so both processes read
 // and write it through registry.State. Legacy closure calls (Batch.Upcall)
 // still execute in the parent — a Go closure cannot cross a process
@@ -455,7 +457,7 @@ func (t *ProcTransport) wireCross(r *Runtime, ctx *kernel.Context, chunk []*Subm
 	if ringFits(chunk) {
 		return t.laneCross(r, ctx, chunk)
 	}
-	return t.sockCross(r, ctx, chunk)
+	return t.sockCross(r, chunk)
 }
 
 // CrossChunk exposes the boundary layer of one crossing — lane claim,
@@ -479,13 +481,6 @@ func ringFits(chunk []*Submission) bool {
 	for _, sub := range chunk {
 		c := sub.Call
 		if len(c.Name) > xdr.MaxFrameName {
-			return false
-		}
-		// Handlers that make nested downcalls cross on the socketpair: a
-		// FrameDown conversation is a framed request/response exchange the
-		// SPSC rings do not model, so the lane path carries only
-		// downcall-free bodies.
-		if c.h != nil && c.h.Down {
 			return false
 		}
 		if xdr.FrameWireSize(xdr.Frame{Name: c.Name, Data: c.Data}) > descSlotBytes {
@@ -526,7 +521,7 @@ func (t *ProcTransport) laneCross(r *Runtime, ctx *kernel.Context, chunk []*Subm
 		if lane == nil {
 			continue
 		}
-		return t.laneCrossOn(r, ep, lane, chunk)
+		return t.laneCrossOn(r, ctx, ep, lane, chunk)
 	}
 }
 
@@ -616,8 +611,17 @@ func (t *ProcTransport) releaseLane(lane *procLane) {
 // proved it cannot spill, so AppendFrame never grows the slot-backed
 // slice).
 //
+// The chunk publishes in segments, each ending at a downcall-capable
+// handler's frame or at the chunk's end, and each segment's completions are
+// awaited before the next segment publishes (invariant 7). While such a
+// handler executes in the worker, its nested downcalls arrive on the lane's
+// completion ring as FrameDown descriptors carrying the handler's own ID;
+// the completion wait serves each one in place (laneDowncall) and keeps
+// waiting for the same completion. A chunk without such handlers is a
+// single segment.
+//
 //decaf:hotpath
-func (t *ProcTransport) laneCrossOn(r *Runtime, ep *procEpoch, lane *procLane, chunk []*Submission) error {
+func (t *ProcTransport) laneCrossOn(r *Runtime, ctx *kernel.Context, ep *procEpoch, lane *procLane, chunk []*Submission) error {
 	name := chunk[0].Call.Name
 	ring := r.payloadRing.Load()
 	reg := t.reg.Load()
@@ -632,136 +636,153 @@ func (t *ProcTransport) laneCrossOn(r *Runtime, ep *procEpoch, lane *procLane, c
 		}
 	}
 	injector := r.faultInjector.Load()
-	for i, sub := range chunk {
-		c := sub.Call
-		lane.seq++
-		ids[i] = lane.seq
-		sums[i] = 0
-		f := xdr.Frame{Kind: xdr.FrameSubmit, ID: ids[i], Up: c.Up, Name: c.Name, Lane: lane.idx}
-		if c.h != nil {
-			// Handler-table call: the worker executes the registered body.
-			// Aux carries the count of handler frames after this one in the
-			// chunk, so the worker can mirror the kernel side's chunk-abort
-			// by skipping them when this body fails. Injection is decided
-			// here, at encode time: the worker reports the injected fault
-			// without executing (the inline path decides inside runUser —
-			// never both).
-			handlersLeft--
-			f.Kind = xdr.FrameCall
-			f.Aux = uint64(handlersLeft)
-			c.remoteServed = false
-			if injector != nil && (*injector)(c.Name) {
-				f.Inject = true
-				r.noteInjected(c.Name)
-			}
-		}
-		if c.Slot.Valid() && ring != nil && reg != nil {
-			// Zero-copy: only the descriptor crosses; see sockCross.
-			if payload, berr := ring.Buffer(c.Slot); berr == nil {
-				f.Slot = c.Slot
-				sums[i] = payloadSum(payload)
-			}
-		}
-		if !f.Slot.Valid() && len(c.Data) > 0 {
-			f.Data = c.Data
-			sums[i] = payloadSum(c.Data)
-		}
-		slot := lane.sub.reserve()
-		if slot == nil {
-			// Unreachable by construction: the lane holds a full batch, the
-			// holder drained its completions before releasing, and the worker
-			// advances each submit descriptor before acknowledging it. A full
-			// ring therefore means a corrupted header.
-			t.releaseLane(lane)
-			return t.epochProtoFail(ep, fmt.Errorf("xpc: lane %d submit ring full at %d entries", lane.idx, t.descEntries))
-		}
-		if _, aerr := xdr.AppendFrame(slot[:0], f); aerr != nil {
-			// Unreachable: ringFits admitted the chunk. Earlier frames of the
-			// chunk were published — the worker is mid-chunk and must not
-			// survive it.
-			t.releaseLane(lane)
-			return t.epochProtoFail(ep, fmt.Errorf("xpc: lane %d descriptor encode %q: %v", lane.idx, c.Name, aerr))
-		}
-		lane.sub.publish()
-	}
-	// The whole chunk is now in flight on the lane, none of it completed.
-	// Counting it here, rather than reading the ring's occupancy, keeps the
-	// gauge from racing the worker, which may already have consumed part
-	// of the chunk.
-	atomicMaxU64(&t.descPeak, uint64(len(chunk)))
-	r.noteRingCrossing(name)
-	if lane.tr != nil {
-		lane.tr.Emit(trace.KindEnqueue, uint16(lane.idx), trace.SrcKernel, ids[0], uint64(len(chunk)))
-	}
-	// Invariant 5, producer half: publish first, then consume the worker's
-	// parked declaration. Racing producers swap the one flag; exactly one
-	// observes 1 and pays the wake syscall.
-	if ep.dir.parked.Swap(0) == 1 {
-		if err := ep.bell.ring(); err != nil {
-			t.releaseLane(lane)
-			return t.epochDied(ep, err)
-		}
-		r.noteDoorbells(name, 1)
-		if lane.tr != nil {
-			lane.tr.Emit(trace.KindDoorbell, uint16(lane.idx), trace.SrcKernel, ids[0], 1)
-		}
-	}
-	deadline := time.Now().Add(procWireTimeout)
-	// Scale the completion spin budget down by the lanes currently in
-	// flight: K holders spinning concurrently on an oversubscribed machine
-	// take ~K times longer wall-clock to exhaust a fixed budget, starving
-	// the worker of CPU exactly when it has the most lanes to serve.
-	// Parking promptly hands the worker the whole machine instead.
-	budget := descSpinBudget
-	if active := t.laneActive.Load(); active > 1 {
-		budget = descSpinBudget / int(active)
-	}
 	totalWakes := 0
-	for i := range chunk {
-		slot, wakes, err := lane.cmp.awaitSlotBudget(lane.bell, deadline, budget)
-		if wakes > 0 {
-			r.noteDoorbells(chunk[i].Call.Name, wakes)
-			totalWakes += wakes
+	for start := 0; start < len(chunk); {
+		end := start
+		for end < len(chunk) {
+			c := chunk[end].Call
+			i := end
+			end++
+			lane.seq++
+			ids[i] = lane.seq
+			sums[i] = 0
+			f := xdr.Frame{Kind: xdr.FrameSubmit, ID: ids[i], Up: c.Up, Name: c.Name, Lane: lane.idx}
+			if c.h != nil {
+				// Handler-table call: the worker executes the registered body.
+				// Aux carries the count of handler frames after this one in the
+				// chunk, so the worker can mirror the kernel side's chunk-abort
+				// by skipping them when this body fails. Injection is decided
+				// here, at encode time: the worker reports the injected fault
+				// without executing (the inline path decides inside runUser —
+				// never both).
+				handlersLeft--
+				f.Kind = xdr.FrameCall
+				f.Aux = uint64(handlersLeft)
+				c.remoteServed = false
+				if injector != nil && (*injector)(c.Name) {
+					f.Inject = true
+					r.noteInjected(c.Name)
+				}
+			}
+			if c.Slot.Valid() && ring != nil && reg != nil {
+				// Zero-copy: only the descriptor crosses; checksum the bytes
+				// through the kernel side's mapping for comparison against what
+				// the worker reads through its own. A stale descriptor (slot
+				// released before its crossing) transfers nothing, matching the
+				// in-process transferSlot semantics — the ring's stale counter
+				// records it.
+				if payload, berr := ring.Buffer(c.Slot); berr == nil {
+					f.Slot = c.Slot
+					sums[i] = payloadSum(payload)
+				}
+			}
+			if !f.Slot.Valid() && len(c.Data) > 0 {
+				f.Data = c.Data
+				sums[i] = payloadSum(c.Data)
+			}
+			slot := lane.sub.reserve()
+			if slot == nil {
+				// Unreachable by construction: the lane holds a full batch, the
+				// holder drained its completions before releasing, and the worker
+				// advances each submit descriptor before acknowledging it. A full
+				// ring therefore means a corrupted header.
+				t.releaseLane(lane)
+				return t.epochProtoFail(ep, fmt.Errorf("xpc: lane %d submit ring full at %d entries", lane.idx, t.descEntries))
+			}
+			if _, aerr := xdr.AppendFrame(slot[:0], f); aerr != nil {
+				// Unreachable: ringFits admitted the chunk. Earlier frames of the
+				// chunk were published — the worker is mid-chunk and must not
+				// survive it.
+				t.releaseLane(lane)
+				return t.epochProtoFail(ep, fmt.Errorf("xpc: lane %d descriptor encode %q: %v", lane.idx, c.Name, aerr))
+			}
+			lane.sub.publish()
+			if c.h != nil && c.h.Down {
+				// Invariant 7: nothing follows a downcall-capable handler's
+				// frame until its completion arrives.
+				break
+			}
 		}
-		if err != nil {
-			t.releaseLane(lane)
-			return t.epochDied(ep, err)
+		// The whole segment is now in flight on the lane, none of it
+		// completed. Counting it here, rather than reading the ring's
+		// occupancy, keeps the gauge from racing the worker, which may
+		// already have consumed part of it.
+		atomicMaxU64(&t.descPeak, uint64(end-start))
+		if start == 0 {
+			r.noteRingCrossing(name)
 		}
-		resp, _, derr := xdr.DecodeFrame(slot)
-		lane.cmp.advance()
-		if derr != nil {
-			t.releaseLane(lane)
-			return t.epochProtoFail(ep, fmt.Errorf("xpc: corrupt completion descriptor on lane %d: %v", lane.idx, derr))
+		if lane.tr != nil {
+			lane.tr.Emit(trace.KindEnqueue, uint16(lane.idx), trace.SrcKernel, ids[start], uint64(end-start))
 		}
-		c := chunk[i].Call
-		switch {
-		case resp.Kind != xdr.FrameComplete || resp.ID != ids[i] || resp.Lane != lane.idx:
-			t.releaseLane(lane)
-			return t.epochProtoFail(ep, fmt.Errorf("xpc: proc worker protocol: got %v id %d lane %d, want complete id %d lane %d",
-				resp.Kind, resp.ID, resp.Lane, ids[i], lane.idx))
-		case c.h != nil && remoteStatusValid(resp.Status):
-			// A dispatch outcome — including failure, contained fault,
-			// injection and chunk-abort skip — is a successful wire
-			// conversation; execute maps it onto the call's result. The
-			// checksum still proves the worker read the payload the kernel
-			// staged.
-			if resp.Aux != sums[i] {
+		if err := t.wakeWorker(r, ep, lane, name, ids[start]); err != nil {
+			return err
+		}
+		deadline := time.Now().Add(procWireTimeout)
+		// Scale the completion spin budget down by the lanes currently in
+		// flight: K holders spinning concurrently on an oversubscribed
+		// machine take ~K times longer wall-clock to exhaust a fixed budget,
+		// starving the worker of CPU exactly when it has the most lanes to
+		// serve. Parking promptly hands the worker the whole machine instead.
+		budget := descSpinBudget
+		if active := t.laneActive.Load(); active > 1 {
+			budget = descSpinBudget / int(active)
+		}
+		for i := start; i < end; {
+			slot, wakes, err := lane.cmp.awaitSlotBudget(lane.bell, deadline, budget)
+			if wakes > 0 {
+				r.noteDoorbells(chunk[i].Call.Name, wakes)
+				totalWakes += wakes
+			}
+			if err != nil {
+				t.releaseLane(lane)
+				return t.epochDied(ep, err)
+			}
+			resp, _, derr := xdr.DecodeFrame(slot)
+			lane.cmp.advance()
+			if derr != nil {
+				t.releaseLane(lane)
+				return t.epochProtoFail(ep, fmt.Errorf("xpc: corrupt completion descriptor on lane %d: %v", lane.idx, derr))
+			}
+			c := chunk[i].Call
+			if resp.Kind == xdr.FrameDown && resp.ID == ids[i] && resp.Lane == lane.idx && c.h != nil && c.h.Down {
+				// The executing handler called down: serve the nested
+				// crossing and keep waiting for the same completion.
+				if err := t.laneDowncall(r, ctx, ep, lane, resp); err != nil {
+					return err
+				}
+				continue
+			}
+			switch {
+			case resp.Kind != xdr.FrameComplete || resp.ID != ids[i] || resp.Lane != lane.idx:
+				t.releaseLane(lane)
+				return t.epochProtoFail(ep, fmt.Errorf("xpc: proc worker protocol: got %v id %d lane %d, want complete id %d lane %d",
+					resp.Kind, resp.ID, resp.Lane, ids[i], lane.idx))
+			case c.h != nil && remoteStatusValid(resp.Status):
+				// A dispatch outcome — including failure, contained fault,
+				// injection and chunk-abort skip — is a successful wire
+				// conversation; execute maps it onto the call's result. The
+				// checksum still proves the worker read the payload the kernel
+				// staged.
+				if resp.Aux != sums[i] {
+					t.releaseLane(lane)
+					return t.epochProtoFail(ep, fmt.Errorf("xpc: payload checksum mismatch on %q: worker saw %#x, kernel staged %#x",
+						c.Name, resp.Aux, sums[i]))
+				}
+				c.remoteServed = true
+				c.remoteStatus = resp.Status
+				c.remoteErr = resp.Name
+			case resp.Status != wireStatusOK:
+				t.releaseLane(lane)
+				return t.epochProtoFail(ep, fmt.Errorf("xpc: proc worker rejected %q: status %d %s",
+					c.Name, resp.Status, resp.Name))
+			case resp.Aux != sums[i]:
 				t.releaseLane(lane)
 				return t.epochProtoFail(ep, fmt.Errorf("xpc: payload checksum mismatch on %q: worker saw %#x, kernel staged %#x",
 					c.Name, resp.Aux, sums[i]))
 			}
-			c.remoteServed = true
-			c.remoteStatus = resp.Status
-			c.remoteErr = resp.Name
-		case resp.Status != wireStatusOK:
-			t.releaseLane(lane)
-			return t.epochProtoFail(ep, fmt.Errorf("xpc: proc worker rejected %q: status %d %s",
-				c.Name, resp.Status, resp.Name))
-		case resp.Aux != sums[i]:
-			t.releaseLane(lane)
-			return t.epochProtoFail(ep, fmt.Errorf("xpc: payload checksum mismatch on %q: worker saw %#x, kernel staged %#x",
-				c.Name, resp.Aux, sums[i]))
+			i++
 		}
+		start = end
 	}
 	if lane.tr != nil {
 		if totalWakes > 0 {
@@ -770,6 +791,59 @@ func (t *ProcTransport) laneCrossOn(r *Runtime, ep *procEpoch, lane *procLane, c
 		lane.tr.Emit(trace.KindChunkEnd, uint16(lane.idx), trace.SrcKernel, ids[0], uint64(len(chunk)))
 	}
 	t.releaseLane(lane)
+	return nil
+}
+
+// laneDowncall serves one FrameDown from a handler executing on lane: the
+// registered kernel-side target runs as a real downcall crossing (the
+// runtime's serveWorkerDowncall carries the cost accounting), and the
+// scalar result — or the error text — returns to the blocked handler as a
+// FrameDownResult in the lane's submit ring. The ring has room: the
+// handler's frame ended its segment (invariant 7) and the worker advanced
+// past it before dispatching. The worker waits for the result through the
+// worker-wide park flag, so the doorbell rings only if it parked
+// (invariant 5). On failure the lane is released and the epoch retired.
+//
+//decaf:hotpath
+func (t *ProcTransport) laneDowncall(r *Runtime, ctx *kernel.Context, ep *procEpoch, lane *procLane, req xdr.Frame) error {
+	res, derr := r.serveWorkerDowncall(ctx, req.Name, req.Aux)
+	ack := xdr.Frame{Kind: xdr.FrameDownResult, ID: req.ID, Lane: lane.idx, Aux: res}
+	if derr != nil {
+		ack.Status = 1
+		ack.Name = clipFrameName(derr.Error())
+	}
+	slot := lane.sub.reserve()
+	if slot == nil {
+		t.releaseLane(lane)
+		return t.epochProtoFail(ep, fmt.Errorf("xpc: lane %d submit ring full answering downcall %q", lane.idx, req.Name))
+	}
+	if _, aerr := xdr.AppendFrame(slot[:0], ack); aerr != nil {
+		t.releaseLane(lane)
+		return t.epochProtoFail(ep, fmt.Errorf("xpc: lane %d encode downcall result for %q: %v", lane.idx, req.Name, aerr))
+	}
+	lane.sub.publish()
+	return t.wakeWorker(r, ep, lane, req.Name, req.ID)
+}
+
+// wakeWorker is invariant 5's producer half, run after each publication on
+// lane: consume the worker's parked declaration and ring the submit
+// doorbell if it was set. Racing producers swap the one flag; exactly one
+// observes 1 and pays the wake syscall. A failed ring means the worker
+// died: the lane is released and the epoch retired.
+//
+//decaf:hotpath
+func (t *ProcTransport) wakeWorker(r *Runtime, ep *procEpoch, lane *procLane, name string, id uint64) error {
+	if ep.dir.parked.Swap(0) != 1 {
+		return nil
+	}
+	if err := ep.bell.ring(); err != nil {
+		t.releaseLane(lane)
+		return t.epochDied(ep, err)
+	}
+	r.noteDoorbells(name, 1)
+	if lane.tr != nil {
+		lane.tr.Emit(trace.KindDoorbell, uint16(lane.idx), trace.SrcKernel, id, 1)
+	}
 	return nil
 }
 
@@ -849,15 +923,15 @@ func (t *ProcTransport) teardownEpochLocked(ep *procEpoch, countDeath bool) {
 }
 
 // sockCross frames the chunk over the socketpair — the fallback for frames
-// a descriptor slot cannot hold, and the path every downcall-capable
-// handler takes: an executing worker-side body may interleave FrameDown
-// requests with the chunk's completions, and this read loop serves them
-// (serveWireDowncallLocked) before resuming the completion wait. One write
-// syscall carries the whole chunk; the worker answers with one completion
-// frame per call. The path holds the control mutex for the round trip:
-// oversized frames and downcall conversations are the rare case, and
+// a descriptor slot cannot hold. One write syscall carries the whole chunk;
+// the worker answers with one completion frame per call. The path holds the
+// control mutex for the round trip: oversized frames are the rare case, and
 // serializing them keeps the control stream framing trivially in order.
-func (t *ProcTransport) sockCross(r *Runtime, ctx *kernel.Context, chunk []*Submission) error {
+// Nested downcalls ride only the lane rings, so a downcall-capable handler
+// cannot cross here: its frame fails at encode (no registered handler's
+// frame is that large), and a FrameDown arriving on the socket is a
+// protocol violation.
+func (t *ProcTransport) sockCross(r *Runtime, chunk []*Submission) error {
 	t.lockControl()
 	defer t.mu.Unlock()
 	if t.closed.Load() {
@@ -885,6 +959,10 @@ func (t *ProcTransport) sockCross(r *Runtime, ctx *kernel.Context, chunk []*Subm
 		sums[i] = 0
 		f := xdr.Frame{Kind: xdr.FrameSubmit, ID: ids[i], Up: c.Up, Name: c.Name}
 		if c.h != nil {
+			if c.h.Down {
+				return fmt.Errorf("%w: %q: a downcall-capable handler's frame must fit a descriptor slot (%dB)",
+					errProcEncode, c.Name, descSlotBytes)
+			}
 			// Handler-table dispatch; see laneCrossOn for the Aux and
 			// injection semantics.
 			handlersLeft--
@@ -897,12 +975,7 @@ func (t *ProcTransport) sockCross(r *Runtime, ctx *kernel.Context, chunk []*Subm
 			}
 		}
 		if c.Slot.Valid() && ring != nil && reg != nil {
-			// Zero-copy: only the descriptor crosses; checksum the bytes
-			// through the kernel side's mapping for comparison against what
-			// the worker reads through its own. A stale descriptor (slot
-			// released before its crossing) transfers nothing, matching the
-			// in-process transferSlot semantics — the ring's stale counter
-			// records it.
+			// Zero-copy: only the descriptor crosses; see laneCrossOn.
 			if payload, berr := ring.Buffer(c.Slot); berr == nil {
 				f.Slot = c.Slot
 				sums[i] = payloadSum(payload)
@@ -938,21 +1011,12 @@ func (t *ProcTransport) sockCross(r *Runtime, ctx *kernel.Context, chunk []*Subm
 	r.noteWire(name, len(buf), 0)
 	for i := range chunk {
 		c := chunk[i].Call
-	awaitCompletion:
 		resp, n, err := readWireFrame(w.br)
 		if err != nil {
 			t.teardownEpochLocked(ep, true)
 			return &WorkerDeath{PID: ep.pid, Err: err}
 		}
 		r.noteWire(c.Name, 0, n)
-		if resp.Kind == xdr.FrameDown {
-			// A worker-side handler body called down mid-execution: serve the
-			// nested crossing and resume waiting for this completion.
-			if derr := t.serveWireDowncallLocked(r, ctx, ep, resp); derr != nil {
-				return derr
-			}
-			goto awaitCompletion
-		}
 		switch {
 		case resp.Kind != xdr.FrameComplete || resp.ID != ids[i]:
 			t.teardownEpochLocked(ep, true)
@@ -979,37 +1043,6 @@ func (t *ProcTransport) sockCross(r *Runtime, ctx *kernel.Context, chunk []*Subm
 		}
 	}
 	_ = w.sock.SetDeadline(time.Time{})
-	return nil
-}
-
-// serveWireDowncallLocked serves one FrameDown from the worker: the
-// registered kernel-side target runs as a real downcall crossing (the
-// runtime's serveWorkerDowncall carries the cost accounting), and the
-// scalar result — or the error text — returns to the blocked handler as a
-// FrameDownResult. Runs with the control mutex held, inside sockCross's
-// completion wait.
-func (t *ProcTransport) serveWireDowncallLocked(r *Runtime, ctx *kernel.Context, ep *procEpoch, req xdr.Frame) error {
-	res, derr := r.serveWorkerDowncall(ctx, req.Name, req.Aux)
-	ack := xdr.Frame{Kind: xdr.FrameDownResult, ID: req.ID, Aux: res}
-	if derr != nil {
-		ack.Status = 1
-		msg := derr.Error()
-		if len(msg) > xdr.MaxFrameName {
-			msg = msg[:xdr.MaxFrameName]
-		}
-		ack.Name = msg
-	}
-	wire, err := xdr.AppendFrame(t.encBuf[:0], ack)
-	if err != nil {
-		t.teardownEpochLocked(ep, true)
-		return fmt.Errorf("xpc: encode downcall result for %q: %v", req.Name, err)
-	}
-	t.encBuf = wire[:0]
-	if _, err := ep.w.sock.Write(wire); err != nil {
-		t.teardownEpochLocked(ep, true)
-		return &WorkerDeath{PID: ep.pid, Err: err}
-	}
-	r.noteWire(req.Name, len(wire), 0)
 	return nil
 }
 

@@ -5,6 +5,7 @@ package xpc
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math/bits"
@@ -104,11 +105,6 @@ func runWorker() int {
 	// stateArea is the window's size, subtracted from the payload bound.
 	wstate := registry.NewState()
 	var stateArea int
-	// stash holds frames read off the socket while a dispatching handler
-	// awaited its FrameDownResult: the parent writes a whole chunk before
-	// reading, so the chunk's remaining frames sit ahead of the result in
-	// the stream. They replay, in order, before the next socket read.
-	var stash []xdr.Frame
 	// sockSkip is the socketpair path's chunk-abort counter (see callAck).
 	var sockSkip int
 	reply := func(f xdr.Frame) error {
@@ -119,60 +115,21 @@ func runWorker() int {
 		if _, err := bw.Write(wire); err != nil {
 			return err
 		}
-		// Flush only when no further request is already buffered or
-		// stashed, so a batched submit gets one response write instead of
-		// one per call.
-		if br.Buffered() == 0 && len(stash) == 0 {
+		// Flush only when no further request is already buffered, so a
+		// batched submit gets one response write instead of one per call.
+		if br.Buffered() == 0 {
 			return bw.Flush()
 		}
 		return nil
 	}
-	// sockDown builds the downcall route for one dispatching FrameCall: the
-	// request crosses back to the kernel as a FrameDown carrying the
-	// in-flight call's ID, and the handler blocks until the matching
-	// FrameDownResult arrives, stashing any interleaved chunk frames.
-	sockDown := func(callID uint64) func(name string, arg uint64) (uint64, error) {
-		return func(name string, arg uint64) (uint64, error) {
-			wire, werr := xdr.AppendFrame(nil, xdr.Frame{Kind: xdr.FrameDown, ID: callID, Name: name, Aux: arg})
-			if werr != nil {
-				return 0, werr
-			}
-			if _, werr = bw.Write(wire); werr != nil {
-				return 0, werr
-			}
-			if werr = bw.Flush(); werr != nil {
-				return 0, werr
-			}
-			for {
-				g, _, rerr := readWireFrame(br)
-				if rerr != nil {
-					return 0, rerr
-				}
-				if g.Kind == xdr.FrameDownResult && g.ID == callID {
-					if g.Status != 0 {
-						return 0, fmt.Errorf("%s", g.Name)
-					}
-					return g.Aux, nil
-				}
-				stash = append(stash, g)
-			}
-		}
-	}
 	for {
-		var f xdr.Frame
-		var err error
-		if len(stash) > 0 {
-			f = stash[0]
-			stash = stash[1:]
-		} else {
-			f, _, err = readWireFrame(br)
-			if err == io.EOF {
-				return workerOKExit
-			}
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "xpc worker: read:", err)
-				return workerErrExit
-			}
+		f, _, err := readWireFrame(br)
+		if err == io.EOF {
+			return workerOKExit
+		}
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "xpc worker: read:", err)
+			return workerErrExit
 		}
 		switch f.Kind {
 		case xdr.FrameShutdown:
@@ -282,7 +239,9 @@ func runWorker() int {
 		case xdr.FrameSubmit:
 			err = reply(submitAck(f, mem, &geom))
 		case xdr.FrameCall:
-			err = reply(callAck(f, mem, &geom, wstate, &sockSkip, sockDown(f.ID)))
+			// Downcall-capable handlers never cross here (they ride the
+			// lanes), so the socketpair path has no downcall route.
+			err = reply(callAck(f, mem, &geom, wstate, &sockSkip, nil))
 		default:
 			fmt.Fprintf(os.Stderr, "xpc worker: unexpected %v frame\n", f.Kind)
 			return workerErrExit
@@ -337,8 +296,9 @@ func submitAck(f xdr.Frame, mem []byte, geom *atomic.Uint64) xdr.Frame {
 // process. A failing or faulting body arms *skip with the frame's Aux (the
 // count of handler frames left in its chunk), and armed skips consume
 // subsequent FrameCall frames unexecuted — mirroring the kernel side's
-// chunk abort. down routes the body's nested downcalls; nil when the
-// path cannot serve them (lanes carry only downcall-free handlers).
+// chunk abort. down routes the body's nested downcalls (the lane's
+// laneServer route); nil on the socketpair path, which cannot serve them
+// (a body calling down there gets the registry's no-route error).
 //
 //decaf:hotpath
 func callAck(f xdr.Frame, mem []byte, geom *atomic.Uint64, st *registry.State, skip *int, down func(name string, arg uint64) (uint64, error)) xdr.Frame {
@@ -447,10 +407,16 @@ const laneServeQuantum = 64
 func serveLanes(dir *laneDir, lanes []laneRings, bells []fdDoorbell, mem []byte, geom *atomic.Uint64, subBell fdDoorbell, wring *trace.Ring, st *registry.State) {
 	next := 0
 	spins := 0
-	// skips holds each lane's chunk-abort counter: chunks are per-lane, so
-	// a failing handler skips only the remainder of its own lane's chunk.
+	// servers holds each lane's serving state, its downcall route bound
+	// once here so that dispatching a downcall-capable handler builds no
+	// closure.
 	//decaf:allowalloc one-time setup before the serve loop, not per-crossing
-	skips := make([]int, len(lanes))
+	servers := make([]laneServer, len(lanes))
+	for i := range servers {
+		ls := &servers[i]
+		*ls = laneServer{rings: lanes[i], bell: bells[i], subBell: subBell, dir: dir, wring: wring, lane: uint32(i)}
+		ls.down = ls.downcall //decaf:allowalloc one method value per lane, bound before the serve loop
+	}
 	for {
 		served := false
 		for i := range lanes {
@@ -458,7 +424,7 @@ func serveLanes(dir *laneDir, lanes []laneRings, bells []fdDoorbell, mem []byte,
 			if l >= len(lanes) {
 				l -= len(lanes)
 			}
-			if serveLane(lanes[l], bells[l], uint16(l), mem, geom, wring, st, &skips[l]) > 0 {
+			if serveLane(&servers[l], mem, geom, st) > 0 {
 				served = true
 			}
 		}
@@ -511,30 +477,32 @@ func serveLanes(dir *laneDir, lanes []laneRings, bells []fdDoorbell, mem []byte,
 // slot is advanced BEFORE the completion publishes: the kernel side assumes
 // a fully acknowledged chunk has left the submit ring, so the next
 // full-batch chunk on the lane always finds room (laneCrossOn treats a full
-// submit ring as corruption).
+// submit ring as corruption). The same early advance leaves room for the
+// FrameDownResult answering a downcall-capable handler mid-dispatch.
 //
 //decaf:hotpath
-func serveLane(lr laneRings, bell fdDoorbell, laneIdx uint16, mem []byte, geom *atomic.Uint64, wring *trace.Ring, st *registry.State, skip *int) int {
+func serveLane(ls *laneServer, mem []byte, geom *atomic.Uint64, st *registry.State) int {
 	n := 0
 	firstID := uint64(0)
+	laneIdx := uint16(ls.lane)
 	for ; n < laneServeQuantum; n++ {
-		slot := lr.sub.pending()
+		slot := ls.rings.sub.pending()
 		if slot == nil {
 			break
 		}
 		f, _, derr := xdr.DecodeFrame(slot)
-		lr.sub.advance()
+		ls.rings.sub.advance()
 		if derr != nil {
 			fmt.Fprintln(os.Stderr, "xpc worker: corrupt submit descriptor:", derr)
 			os.Exit(workerErrExit)
 		}
 		if n == 0 {
 			firstID = f.ID
-			if wring != nil {
+			if ls.wring != nil {
 				// The visit's dequeue mark: paired with KindWorkerComplete
 				// below, this is the worker-side half of the cross-boundary
 				// span the exporter draws per submission chunk.
-				wring.Emit(trace.KindWorkerDequeue, laneIdx, trace.SrcWorker, firstID, 0)
+				ls.wring.Emit(trace.KindWorkerDequeue, laneIdx, trace.SrcWorker, firstID, 0)
 			}
 		}
 		var ack xdr.Frame
@@ -542,35 +510,137 @@ func serveLane(lr laneRings, bell fdDoorbell, laneIdx uint16, mem []byte, geom *
 		case xdr.FrameSubmit:
 			ack = submitAck(f, mem, geom)
 		case xdr.FrameCall:
-			// Lane-borne handler dispatch. The down route is nil by
-			// invariant: ringFits steers downcall-capable handlers onto the
-			// socketpair.
-			ack = callAck(f, mem, geom, st, skip, nil)
+			// Lane-borne handler dispatch; a downcall-capable body calls
+			// down through the lane's route, which tags its FrameDown with
+			// this call's ID.
+			ls.id = f.ID
+			ack = callAck(f, mem, geom, st, &ls.skip, ls.down)
 		default:
 			ack = xdr.Frame{Kind: xdr.FrameComplete, ID: f.ID, Status: wireStatusBadFrame, Name: f.Kind.String(), Lane: f.Lane}
 		}
-		out := lr.cmp.reserve()
+		out := ls.rings.cmp.reserve()
 		for out == nil {
 			// Cannot persist: the lane's claimant drains completions of the
 			// chunk it is awaiting, and a chunk never exceeds the ring.
 			runtime.Gosched()
-			out = lr.cmp.reserve()
+			out = ls.rings.cmp.reserve()
 		}
 		if _, aerr := xdr.AppendFrame(out[:0], ack); aerr != nil {
 			fmt.Fprintln(os.Stderr, "xpc worker: encode completion:", aerr)
 			os.Exit(workerErrExit)
 		}
-		lr.cmp.publish()
-		if lr.cmp.consumerParked() {
-			if err := bell.ring(); err != nil {
+		ls.rings.cmp.publish()
+		if ls.rings.cmp.consumerParked() {
+			if err := ls.bell.ring(); err != nil {
 				os.Exit(workerOKExit)
 			}
 		}
 	}
-	if n > 0 && wring != nil {
-		wring.Emit(trace.KindWorkerComplete, laneIdx, trace.SrcWorker, firstID, uint64(n))
+	if n > 0 && ls.wring != nil {
+		ls.wring.Emit(trace.KindWorkerComplete, laneIdx, trace.SrcWorker, firstID, uint64(n))
 	}
 	return n
+}
+
+// laneServer is the worker's serving state for one lane: its ring pair and
+// completion doorbell, its chunk-abort counter (chunks are per-lane, so a
+// failing handler skips only the rest of its own lane's chunk), and the
+// downcall route a downcall-capable handler executing on the lane calls
+// through. serveLanes builds one per lane before its loop and binds down to
+// downcall once, so dispatch passes a ready func value rather than a
+// per-call closure; id names the FrameCall being dispatched.
+type laneServer struct {
+	rings   laneRings
+	bell    fdDoorbell // the lane's completion doorbell
+	subBell fdDoorbell // the worker-wide submit doorbell
+	dir     *laneDir
+	wring   *trace.Ring
+	lane    uint32
+	skip    int
+	id      uint64
+	down    func(name string, arg uint64) (uint64, error)
+}
+
+// downcall carries one nested downcall of the handler executing on the lane
+// across the lane's own rings: a FrameDown tagged with the call's ID goes
+// into the completion ring (ringing the lane's doorbell only if the kernel
+// side parked), and the handler blocks until the matching FrameDownResult
+// arrives in the submit ring. Nothing else can arrive there meanwhile —
+// the kernel side publishes nothing behind a downcall-capable handler's
+// frame until its completion (descring.go invariant 7) — so any other
+// descriptor is a protocol violation and ends the worker.
+//
+//decaf:hotpath
+func (ls *laneServer) downcall(name string, arg uint64) (uint64, error) {
+	out := ls.rings.cmp.reserve()
+	for out == nil {
+		// Cannot persist, as in serveLane: the claimant is draining this
+		// lane's completions while it awaits the handler's.
+		runtime.Gosched()
+		out = ls.rings.cmp.reserve()
+	}
+	req := xdr.Frame{Kind: xdr.FrameDown, ID: ls.id, Name: name, Aux: arg, Lane: ls.lane}
+	if _, err := xdr.AppendFrame(out[:0], req); err != nil {
+		// Nothing was published (an over-long downcall name): the handler
+		// sees the error, the lane stays in sync.
+		return 0, err
+	}
+	ls.rings.cmp.publish()
+	if ls.rings.cmp.consumerParked() {
+		if err := ls.bell.ring(); err != nil {
+			os.Exit(workerOKExit)
+		}
+	}
+	res, _, derr := xdr.DecodeFrame(ls.awaitResult())
+	ls.rings.sub.advance()
+	if derr != nil || res.Kind != xdr.FrameDownResult || res.ID != ls.id || res.Lane != ls.lane {
+		fmt.Fprintf(os.Stderr, "xpc worker: lane %d awaited the result of downcall %q for call %d, got %v id %d lane %d (%v)\n",
+			ls.lane, name, ls.id, res.Kind, res.ID, res.Lane, derr)
+		os.Exit(workerErrExit)
+	}
+	if res.Status != 0 {
+		return 0, errors.New(res.Name)
+	}
+	return res.Aux, nil
+}
+
+// awaitResult spins on the lane's submit ring for the next descriptor,
+// parking through the worker-wide flag and submit doorbell (invariant 5)
+// when the spin budget runs out. Only this lane is re-checked after the
+// park declaration: the serve loop sweeps every lane again before it next
+// parks, so a publication on another lane that this wait swallows the
+// doorbell for is served once the handler returns. A doorbell error means
+// the parent closed its end or died.
+//
+//decaf:hotpath
+func (ls *laneServer) awaitResult() []byte {
+	for spins := 0; ; spins++ {
+		if s := ls.rings.sub.pending(); s != nil {
+			return s
+		}
+		if spins < descSpinBudget {
+			if spins%64 == 63 {
+				runtime.Gosched()
+			}
+			continue
+		}
+		ls.dir.parked.Store(1)
+		if s := ls.rings.sub.pending(); s != nil {
+			ls.dir.parked.Store(0)
+			return s
+		}
+		if ls.wring != nil {
+			ls.wring.Emit(trace.KindWorkerPark, trace.LaneNone, trace.SrcWorker, 0, 0)
+		}
+		if err := ls.subBell.wait(time.Time{}); err != nil {
+			os.Exit(workerOKExit)
+		}
+		if ls.wring != nil {
+			ls.wring.Emit(trace.KindWorkerWake, trace.LaneNone, trace.SrcWorker, 0, 0)
+		}
+		ls.dir.parked.Store(0)
+		spins = 0
+	}
 }
 
 // payloadSum is the checksum both sides compute over a crossing's payload:

@@ -55,6 +55,20 @@ func init() {
 			return nil
 		},
 	})
+	registry.Register("xpctest_down_fail", registry.Handler{
+		Cost: 200 * time.Nanosecond,
+		Down: true,
+		Fn: func(c *registry.Ctx) error {
+			if _, err := c.Downcall("xpctest_read_reg", 1); err != nil {
+				return err
+			}
+			if len(c.Data) > 0 && c.Data[0] == 1 {
+				return errors.New("requested failure after downcall")
+			}
+			c.State.Add(testCellServed, 1)
+			return nil
+		},
+	})
 	registry.Register("xpctest_down", registry.Handler{
 		Cost: 200 * time.Nanosecond,
 		Down: true,
@@ -179,9 +193,11 @@ func TestProcHandlerErrorDoesNotKillWorker(t *testing.T) {
 	}
 }
 
-// TestProcHandlerNestedDowncall: a Down-capable handler crosses on the
-// socketpair, and its nested downcall runs the kernel-side target
-// registered on the runtime — a real FrameDown round trip mid-call.
+// TestProcHandlerNestedDowncall: a Down-capable handler rides a lane like
+// any other handler call, and its nested downcall runs the kernel-side
+// target registered on the runtime — a real FrameDown round trip mid-call,
+// carried by the lane's own rings with no socketpair write beyond
+// doorbells.
 func TestProcHandlerNestedDowncall(t *testing.T) {
 	k, r, _ := newProcRig(t, 4)
 	ctx := k.NewContext("test")
@@ -206,8 +222,12 @@ func TestProcHandlerNestedDowncall(t *testing.T) {
 	if c.Upcalls != 1 || c.Downcalls != 1 {
 		t.Fatalf("Upcalls=%d Downcalls=%d, want 1/1 (the nested crossing is charged for real)", c.Upcalls, c.Downcalls)
 	}
-	if c.RingCrossings != 0 {
-		t.Fatalf("RingCrossings = %d: downcall-capable handlers must take the socketpair", c.RingCrossings)
+	if c.RingCrossings != 1 {
+		t.Fatalf("RingCrossings = %d, want 1: a downcall-capable handler rides the lane rings", c.RingCrossings)
+	}
+	if c.SyscallCrossings != c.DoorbellWakeups {
+		t.Fatalf("SyscallCrossings = %d, DoorbellWakeups = %d: the downcall round trip must not write the socketpair",
+			c.SyscallCrossings, c.DoorbellWakeups)
 	}
 }
 

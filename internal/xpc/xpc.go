@@ -95,9 +95,11 @@
 // visible kernel-side), and — for handlers registered Down: true — a
 // Downcall hook that crosses back into the kernel, where per-Runtime
 // targets installed with Runtime.RegisterDowncall run with full kernel
-// access. The proc transport routes downcall-bearing handlers over the
-// socketpair control path (FrameDown / FrameDownResult frames nested inside
-// the call) and downcall-free handlers over the descriptor-ring fast path.
+// access. Under the proc transport every handler call rides the
+// descriptor-ring lanes; a nested downcall is a FrameDown / FrameDownResult
+// round trip on the calling lane's own rings, nested inside the call. A
+// downcall target runs in the nucleus and must not itself cross the
+// transport (see RegisterDowncall).
 // A panic inside a handler is a decaf fault like any other — contained,
 // surfaced as a *UserFault wrapping *WorkerHandlerFault, and under proc
 // fatal to the worker process, with the shm-backed cells surviving the
@@ -234,6 +236,11 @@ type Runtime struct {
 
 	decafCtx *kernel.Context
 	downCtx  *kernel.Context
+	// decafMu serializes the accounting windows of worker-served calls on
+	// the decaf timeline: concurrent handler crossings (one per claimed
+	// lane) each read, charge and re-read decafCtx. Held for the
+	// accounting only, never across a ring wait.
+	decafMu sync.Mutex
 
 	// transport performs crossings; nil selects the default SyncTransport.
 	transport Transport
